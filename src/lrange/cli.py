@@ -3,7 +3,8 @@
 Every command is deterministic given its flags; JSON reports embed the
 resolved run configuration so a report can be replayed bit for bit.
 Exit codes: 0 = verified/pass, 1 = violation or residual above
-tolerance, 2 = invalid input.
+tolerance, 2 = invalid input (including a ``--tol`` that is not a positive
+finite number).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .core import NumericalError, UnitaryMatrix
+from .core import NumericalError, UnitaryMatrix, _check_tol
 from .ellipsoid import slice_params
 from .jsonio import (
     FormatError,
@@ -334,6 +335,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "tol"):
+            _check_tol(args.tol)
         return args.run(args)
     except _CommandError as exc:
         print(str(exc), file=sys.stderr)

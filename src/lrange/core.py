@@ -57,6 +57,20 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
+def _check_tol(tol: float) -> None:
+    """Reject tolerances that would make any certificate vacuous."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _check_fits(spec: LinearMapSpec, x) -> None:
+    """Reject a tuple ``x`` whose (m, n) differs from the map's."""
+    if spec.m != x.m or spec.n != x.n:
+        raise ValueError(
+            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={x.m}, n={x.n})"
+        )
+
+
 def _square_complex(entries, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -299,22 +313,13 @@ def conjugate_tuple(a: HermitianTuple, u: UnitaryMatrix) -> HermitianTuple:
     )
 
 
-def _eval_stacks(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """eval_map on raw (l,m,n,n) and (m,n,n) stacks; returns (l,) reals."""
-    traces = np.einsum("kiab,iba->k", cs, xs)
-    return traces.real
-
-
 def eval_map(spec: LinearMapSpec, x: HermitianTuple) -> np.ndarray:
     """Evaluate ``L(X) in R^l`` via trace pairings.
 
     The imaginary part of every trace must vanish to ``ALGEBRAIC_TOL``
     (it does for Hermitian inputs); it is then discarded.
     """
-    if spec.m != x.m or spec.n != x.n:
-        raise ValueError(
-            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={x.m}, n={x.n})"
-        )
+    _check_fits(spec, x)
     traces = np.einsum("kiab,iba->k", spec.stack(), x.stack())
     drift = float(np.abs(traces.imag).max())
     if drift > ALGEBRAIC_TOL:
@@ -330,10 +335,7 @@ def star_center(spec: LinearMapSpec, a: HermitianTuple) -> np.ndarray:
     This point is fixed by every unitary conjugation, which is what makes
     it the natural candidate center of the range.
     """
-    if spec.m != a.m or spec.n != a.n:
-        raise ValueError(
-            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={a.m}, n={a.n})"
-        )
+    _check_fits(spec, a)
     gammas = np.array([item.trace() / a.n for item in a.items])
     row_traces = np.einsum("kiaa->ki", spec.stack()).real
     return row_traces @ gammas

@@ -22,7 +22,10 @@ from .core import (
     DiagonalTuple,
     HermitianMatrix,
     LinearMapSpec,
+    NumericalError,
     UnitaryMatrix,
+    _check_fits,
+    _check_tol,
     hermitian_eig,
 )
 
@@ -148,6 +151,30 @@ def _slice_geometry(
     return a, b, c, m
 
 
+def _preimage(
+    m: np.ndarray, r: np.ndarray, band: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-norm preimage of ``r`` under ``M``, batched over leading axes.
+
+    Singular values at or below ``_RANK_CUTOFF`` times the largest count as
+    zero.  Returns ``(omega, rho, residual, rank, qt, inside)``: the preimage,
+    its norm, ``||M omega - r||``, the numerical rank, the right singular
+    vectors as rows of ``qt``, and whether the point is strictly inside a
+    non-degenerate slice (feasible within ``band``, full rank and
+    ``rho < 1 - band``).
+    """
+    p, sig, qt = np.linalg.svd(m)
+    keep = sig > _RANK_CUTOFF * sig[..., :1]
+    s = np.einsum("...ji,...j->...i", p, r)
+    z = np.where(keep, s / np.where(keep, sig, 1.0), 0.0)
+    omega = np.einsum("...ji,...j->...i", qt, z)
+    residual = np.linalg.norm(np.einsum("...ij,...j->...i", m, omega) - r, axis=-1)
+    rho = np.linalg.norm(z, axis=-1)
+    rank = keep.sum(axis=-1)
+    inside = (residual <= band) & (rank == 3) & (rho < 1.0 - band)
+    return omega, rho, residual, rank, qt, inside
+
+
 def slice_params(d: DiagonalTuple, u: UnitaryMatrix, spec: LinearMapSpec) -> EllipsoidParams:
     """Ellipsoid parameters of the slice of ``D`` at ``U`` under ``L``.
 
@@ -156,10 +183,7 @@ def slice_params(d: DiagonalTuple, u: UnitaryMatrix, spec: LinearMapSpec) -> Ell
     the conjugated coefficients ``G = U C U*``.
     """
     spec3 = lift_map(spec)
-    if spec3.m != d.m or spec3.n != d.n:
-        raise ValueError(
-            f"map expects (m={spec3.m}, n={spec3.n}), tuple has (m={d.m}, n={d.n})"
-        )
+    _check_fits(spec3, d)
     if u.n != d.n:
         raise ValueError(f"unitary has n={u.n}, tuple has n={d.n}")
     if d.n < 2:
@@ -268,18 +292,15 @@ def slice_membership(
     padded to the surface by a null direction when ``M`` is rank-deficient
     (a degenerate slice fills its hull, so such points lie on it).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     y = np.asarray(y, dtype=np.float64).reshape(3)
-    m = params.m_matrix
-    p, sig, qt = np.linalg.svd(m)
-    cutoff = _RANK_CUTOFF * sig[0] if sig[0] > 0 else 0.0
-    rank = int(np.sum(sig > cutoff))
-    s = p.T @ (y - params.a)
-    z = np.where(sig > cutoff, s / np.where(sig > cutoff, sig, 1.0), 0.0)
-    omega = qt.T @ z
-    residual = float(np.linalg.norm(m @ omega - (y - params.a)))
-    rho = float(np.linalg.norm(omega))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("query point contains non-finite entries")
+    omega, rho, residual, rank, qt, inside = _preimage(
+        params.m_matrix, y - params.a, tol
+    )
+    if inside:
+        return MembershipVerdict(INSIDE, omega=omega)
 
     if residual > tol or rho > 1.0 + tol:
         _, distance = nearest_surface(params, y)
@@ -288,15 +309,12 @@ def slice_membership(
 
     if rho >= 1.0 - tol:
         unit = omega / rho if rho > 0 else np.array([1.0, 0.0, 0.0])
-    elif rank <= 2:
+    else:
         # degenerate slice: pad with a null direction up to unit norm
-        null_dir = qt[rank] if rank < 3 else qt[2]
-        unit = omega + np.sqrt(max(0.0, 1.0 - rho * rho)) * null_dir
+        unit = omega + np.sqrt(max(0.0, 1.0 - rho * rho)) * qt[rank]
         nrm = float(np.linalg.norm(unit))
         if nrm > 0:
             unit = unit / nrm
-    else:
-        return MembershipVerdict(INSIDE, omega=omega)
 
     theta, phi = angles_of_omega(unit)
     return MembershipVerdict(ON_SURFACE, omega=unit, theta=theta, phi=phi)
@@ -330,10 +348,7 @@ def degenerate_unitary(d: DiagonalTuple, spec: LinearMapSpec) -> DegenerateCerti
     n = d.n
     if n < 3:
         raise ValueError(f"degeneration needs n >= 3, got n={n}")
-    if spec3.m != d.m or spec3.n != n:
-        raise ValueError(
-            f"map expects (m={spec3.m}, n={spec3.n}), tuple has (m={d.m}, n={n})"
-        )
+    _check_fits(spec3, d)
     weights = d.vectors[:, 0] - d.vectors[:, 1]
     pprime_mat = np.einsum("i,iab->ab", weights, spec3.stack()[0])
     pprime = HermitianMatrix(pprime_mat)
@@ -356,7 +371,7 @@ def degenerate_unitary(d: DiagonalTuple, spec: LinearMapSpec) -> DegenerateCerti
     drift = float(np.abs(block[:2, :2] - lam2 * np.eye(2)).max())
     bound = ALGEBRAIC_TOL * max(1.0, float(np.linalg.norm(pprime.mat)))
     if drift > bound:
-        raise RuntimeError(
+        raise NumericalError(
             f"degeneration block drift {drift:.3e} exceeds {bound:.3e}"
         )
     return DegenerateCertificate(v, lam2, pprime)

@@ -16,6 +16,8 @@ from .core import (
     HermitianTuple,
     LinearMapSpec,
     UnitaryMatrix,
+    _check_fits,
+    _check_tol,
     derive_seed,
     expm_skew,
     haar_unitary,
@@ -42,7 +44,6 @@ class DescentOptions:
     step: float = 0.1
     grad_tol: float = 1e-10
     seed: int = 0
-    membership_tol: float = 1e-6
     target_distance: float | None = None
 
     def __post_init__(self):
@@ -62,6 +63,7 @@ class MembershipResult:
     restarts_used: int
 
     def is_member(self, tol: float = 1e-6) -> bool:
+        _check_tol(tol)
         return self.distance <= tol
 
 
@@ -152,10 +154,7 @@ def orbit_distance(
     """
     opts = opts or DescentOptions()
     y = np.asarray(y, dtype=float)
-    if spec.m != a.m or spec.n != a.n:
-        raise ValueError(
-            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={a.m}, n={a.n})"
-        )
+    _check_fits(spec, a)
     if y.shape != (spec.l,):
         raise ValueError(f"target must have shape ({spec.l},), got {y.shape}")
     a_stack = a.stack()
@@ -197,10 +196,7 @@ def support_value(
         raise ValueError(f"direction must have shape ({spec.l},), got {w.shape}")
     if abs(np.linalg.norm(w) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    if spec.m != a.m or spec.n != a.n:
-        raise ValueError(
-            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={a.m}, n={a.n})"
-        )
+    _check_fits(spec, a)
     a_stack = a.stack()
     bs = np.einsum("k,kiab->iab", w, spec.stack())
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiagonalTuple, _philox
+from .core import DiagonalTuple, _check_tol, _philox
 
 __all__ = [
     "Pinching",
@@ -301,8 +301,7 @@ def synth_scaling(
     Returns the best chain found together with its exactly re-evaluated
     error and the non-increasing trace of accepted improvements.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return _synth_inner(target, tol, budget, depth=0)

@@ -21,6 +21,8 @@ from .core import (
     HermitianTuple,
     LinearMapSpec,
     NumericalError,
+    _check_fits,
+    _check_tol,
     conjugate_tuple,
     derive_seed,
     eval_map,
@@ -91,16 +93,17 @@ class CertReport:
 def sample_orbit_cloud(
     spec: LinearMapSpec, a: HermitianTuple, n_samples: int, seed: int = 0
 ) -> PointCloud:
-    """Evaluate the map at ``n_samples`` Haar unitaries, seeds ``seed ^ j``."""
+    """Evaluate the map at ``n_samples`` Haar unitaries.
+
+    Sample ``j`` is drawn with seed ``derive_seed(seed, j)``, so distinct
+    seeds give independent clouds.
+    """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    if spec.m != a.m or spec.n != a.n:
-        raise ValueError(
-            f"map expects (m={spec.m}, n={spec.n}), tuple has (m={a.m}, n={a.n})"
-        )
+    _check_fits(spec, a)
     points = np.empty((n_samples, spec.l))
     for j in range(n_samples):
-        u = haar_unitary(a.n, seed ^ j)
+        u = haar_unitary(a.n, derive_seed(seed, j))
         points[j] = eval_map(spec, conjugate_tuple(a, u))
     return PointCloud(points, seed, n_samples)
 
@@ -120,6 +123,7 @@ def check_star_shaped(
     ``tol``.  Scaling chains are synthesized once per ray parameter and
     shared across unitaries.
     """
+    _check_tol(tol)
     if spec.l > 3:
         raise ValueError(
             f"star certification handles at most 3 output coordinates, got l={spec.l}"
@@ -195,6 +199,7 @@ def check_convex(
     is recorded with its best-found distance, which for genuinely convex
     regimes flags solver shortfall and otherwise exhibits non-convexity.
     """
+    _check_tol(tol)
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
     cloud = sample_orbit_cloud(spec, a, 2 * pairs, seed)
@@ -245,6 +250,7 @@ def check_ct_inclusion(
     Samples the image of the contracted tuple and asserts each point is
     reachable from the original tuple's orbit within ``tol``.
     """
+    _check_tol(tol)
     if spec.l != 2:
         raise ValueError(
             f"contraction inclusion is stated for 2 output coordinates, got l={spec.l}"
@@ -339,6 +345,7 @@ def counterexample_report(
     closed-form value (sqrt(1/2) for n >= 3; 1 at n = 2, where the image
     is a sphere at height one) within ``tol``.
     """
+    _check_tol(tol)
     d, dhat, spec, chain = counterexample_instance(n, m, l)
     target = eval_map(spec, dhat.to_hermitian())
     opts = DescentOptions(restarts=restarts, seed=seed)

@@ -25,6 +25,8 @@ from .core import (
     LinearMapSpec,
     NumericalError,
     UnitaryMatrix,
+    _check_fits,
+    _check_tol,
     conjugate_tuple,
     eval_map,
     star_center,
@@ -33,7 +35,7 @@ from .ellipsoid import (
     ON_SURFACE,
     OUTSIDE,
     EllipsoidParams,
-    _RANK_CUTOFF,
+    _preimage,
     _slice_geometry,
     angles_of_omega,
     degenerate_unitary,
@@ -51,7 +53,6 @@ __all__ = [
     "WitnessError",
     "principal_log_unitary",
     "make_path",
-    "unitary_path",
     "single_pinch_witness",
     "chain_witness",
     "star_scaling_chain",
@@ -144,49 +145,10 @@ def make_path(u: UnitaryMatrix, v: UnitaryMatrix) -> PathSpec:
     return PathSpec(u, v, principal_log_unitary(w))
 
 
-def unitary_path(u: UnitaryMatrix, v: UnitaryMatrix, t: float) -> UnitaryMatrix:
-    """The point ``f(t) = U exp(t log(U* V))``; ``f(0) = U``, ``f(1) = V``."""
-    return make_path(u, v).at(t)
-
-
 def _reduction_permutation(s: int, t: int, n: int) -> np.ndarray:
     """Source indices: position 1 reads slot ``s``, position 2 slot ``t``."""
     rest = [j for j in range(n) if j not in (s - 1, t - 1)]
     return np.array([s - 1, t - 1] + rest)
-
-
-def _scan_stats(
-    d: DiagonalTuple, us: np.ndarray, cs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-norm preimage data for a batch of slices: (rho, residual, rank)."""
-    a, _, _, m = _slice_geometry(d, us, cs)
-    p, sig, qt = np.linalg.svd(m)
-    keep = sig > _RANK_CUTOFF * sig[:, :1]
-    r = y[None, :] - a
-    s = np.einsum("tji,tj->ti", p, r)
-    z = np.where(keep, s / np.where(keep, sig, 1.0), 0.0)
-    omega = np.einsum("tji,tj->ti", qt, z)
-    resid = np.linalg.norm(np.einsum("tij,tj->ti", m, omega) - r, axis=1)
-    rho = np.linalg.norm(z, axis=1)
-    return rho, resid, keep.sum(axis=1)
-
-
-def _params_at(d: DiagonalTuple, u_mat: np.ndarray, cs: np.ndarray) -> EllipsoidParams:
-    a, b, c, _ = _slice_geometry(d, u_mat[None], cs)
-    return EllipsoidParams(a[0], b[0], c[0])
-
-
-def _witness_at(
-    d: DiagonalTuple,
-    cs: np.ndarray,
-    u_mat: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, float, float, np.ndarray]:
-    """Best surface witness at a fixed path point: (theta, phi, dist, omega)."""
-    params = _params_at(d, u_mat, cs)
-    omega, dist = nearest_surface(params, y)
-    theta, phi = angles_of_omega(omega)
-    return theta, phi, dist, omega
 
 
 def _pinch12_witness(
@@ -196,14 +158,19 @@ def _pinch12_witness(
     y: np.ndarray,
     tol: float,
 ) -> tuple[UnitaryMatrix, float, float, float]:
-    """Crossing search for a pinching already sitting at slots (1, 2)."""
+    """Crossing search for a pinching already sitting at slots (1, 2).
+
+    Each path parameter's slice geometry is computed once: a midpoint that
+    is not interior becomes the upper bracket together with its slice.
+    """
     n = d.n
     cs = spec3.stack()
     member_band = max(1e-9, min(1e-6, tol))
-    band = _SCAN_BAND
     goal = max(1e-12, 1e-3 * tol)
 
-    verdict = slice_membership(_params_at(d, u.mat, cs), y, member_band)
+    start = _slice_geometry(d, u.mat[None], cs)
+    params = EllipsoidParams(start[0][0], start[1][0], start[2][0])
+    verdict = slice_membership(params, y, member_band)
     if verdict.kind == OUTSIDE:
         raise WitnessError(
             "target lies outside the hull of the initial slice "
@@ -211,57 +178,61 @@ def _pinch12_witness(
             "inside, so the inputs are inconsistent"
         )
     if verdict.kind == ON_SURFACE:
-        theta, phi, dist, _ = _witness_at(d, cs, u.mat, y)
-        uprime = UnitaryMatrix(t_theta_phi(theta, phi, n).mat @ u.mat)
-        return uprime, theta, phi, 0.0
+        # the band bounds |rho - 1|, not the distance: check it before use
+        omega, dist = nearest_surface(params, y)
+        if dist <= tol:
+            theta, phi = angles_of_omega(omega)
+            uprime = UnitaryMatrix(t_theta_phi(theta, phi, n).mat @ u.mat)
+            return uprime, theta, phi, 0.0
 
-    # strictly inside a non-degenerate slice: slide toward the flattened one
+    # inside the slice's hull: slide toward the flattened slice
     cert = degenerate_unitary(d, spec3)
     path = make_path(u, cert.v)
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
-    rho, resid, rank = _scan_stats(d, path.at_raw(ts), cs, y)
-    inside = (resid <= band) & (rank == 3) & (rho < 1.0 - band)
+    grid = _slice_geometry(d, path.at_raw(ts[1:]), cs)
+    a, b, c, m = (np.concatenate(pair) for pair in zip(start, grid))
+    _, rho, resid, _, _, inside = _preimage(m, y - a, _SCAN_BAND)
     exits = np.nonzero(~inside)[0]
 
-    if exits.size == 0:
-        lo, hi = float(ts[-2]), 1.0
-    else:
-        first = int(exits[0])
-        if first == 0:
-            raise WitnessError(
-                "slice membership flipped between verdict and scan at t=0; "
-                f"rho={rho[0]:.6f}, residual={resid[0]:.3e}"
-            )
-        lo, hi = float(ts[first - 1]), float(ts[first])
+    first = int(exits[0]) if exits.size else _GRID_POINTS - 1
+    if first == 0:
+        raise WitnessError(
+            "slice membership flipped between verdict and scan at t=0; "
+            f"rho={rho[0]:.6f}, residual={resid[0]:.3e}"
+        )
+    lo, hi = float(ts[first - 1]), float(ts[first])
+    hi_params = EllipsoidParams(a[first], b[first], c[first])
 
-    best: tuple[float, float, float, float] | None = None  # (dist, t, theta, phi)
+    best = None  # (dist, t, omega)
     for _ in range(_MAX_BISECT):
-        u_hi = path.at_raw(np.array([hi]))[0]
-        theta, phi, dist, _ = _witness_at(d, cs, u_hi, y)
+        omega, dist = nearest_surface(hi_params, y)
         if best is None or dist < best[0]:
-            best = (dist, hi, theta, phi)
+            best = (dist, hi, omega)
         if dist <= goal:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        rho_m, resid_m, rank_m = _scan_stats(d, path.at_raw(np.array([mid])), cs, y)
-        if (resid_m[0] <= band) and (rank_m[0] == 3) and (rho_m[0] < 1.0 - band):
+        a_m, b_m, c_m, m_m = (
+            x[0] for x in _slice_geometry(d, path.at_raw(np.array([mid])), cs)
+        )
+        if _preimage(m_m, y - a_m, _SCAN_BAND)[-1]:
             lo = mid
         else:
-            hi = mid
+            hi, hi_params = mid, EllipsoidParams(a_m, b_m, c_m)
 
     # degenerate endpoint fallback: the flattened slice fills its hull
-    theta1, phi1, dist1, _ = _witness_at(d, cs, path.at_raw(np.array([1.0]))[0], y)
-    if best is None or dist1 < best[0]:
-        best = (dist1, 1.0, theta1, phi1)
+    omega, dist = nearest_surface(EllipsoidParams(a[-1], b[-1], c[-1]), y)
+    if dist < best[0]:
+        best = (dist, 1.0, omega)
 
-    dist, t_star, theta, phi = best
+    dist, t_star, omega = best
     if dist > tol:
         raise WitnessError(
             f"crossing search stalled: best surface distance {dist:.3e} at "
             f"t={t_star:.6f} exceeds tolerance {tol:.1e}"
         )
+    theta, phi = angles_of_omega(omega)
     uprime = UnitaryMatrix(
         t_theta_phi(theta, phi, n).mat @ path.at_raw(np.array([t_star]))[0]
     )
@@ -284,8 +255,7 @@ def single_pinch_witness(
     surface through the target, and the crossing is located by a 200-point
     scan followed by bisection (at most 60 steps).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     n = d.n
     if n < 2:
         raise ValueError("witnesses need n >= 2")
@@ -299,10 +269,7 @@ def single_pinch_witness(
     if pinch.t > n:
         raise ValueError(f"pinching {pinch} exceeds dimension n={n}")
     spec3 = lift_map(spec)
-    if spec3.m != d.m or spec3.n != n:
-        raise ValueError(
-            f"map expects (m={spec3.m}, n={spec3.n}), tuple has (m={d.m}, n={n})"
-        )
+    _check_fits(spec3, d)
     if u is None:
         u = UnitaryMatrix.identity(n)
     if u.n != n:
@@ -343,6 +310,7 @@ def chain_witness(
     witness re-expresses the running target over a one-step-less-pinched
     tuple, accumulating at most ``len(chain) * tol`` of residual.
     """
+    _check_tol(tol)
     n = d.n
     if chain.n != n:
         raise ValueError(f"chain acts on n={chain.n}, tuple has n={n}")
@@ -390,6 +358,7 @@ def star_scaling_chain(
     alpha)`` up to that budget, so callers sweeping many unitaries should
     synthesize once and pass the result through.
     """
+    _check_tol(tol)
     means = d.vectors.mean(axis=1)
     scale = float(np.abs(d.vectors - means[:, None]).max())
     cs = lift_map(spec).stack()
@@ -417,6 +386,7 @@ def star_point_witness(
     image of a single numerical range, hence convex, and a descent-based
     membership query replaces the chain construction.
     """
+    _check_tol(tol)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"ray parameter must lie in [0, 1], got {alpha}")
     if spec.l > 3:

@@ -1,8 +1,11 @@
 """End-to-end tests for the ``lrange`` command line and its JSON formats."""
 
+import importlib
 import json
+import os
 import pathlib
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -417,16 +420,101 @@ def test_membership_rejects_wrong_target_length(tmp_path, capsys):
 # console script
 
 
-def test_console_script_is_wired_up(tmp_path):
+def test_console_script_is_wired_up(tmp_path, capsys):
+    """The declared script target is ``lrange.cli.main`` and runs end to end.
+
+    ``python -m lrange`` runs the same entry point in a fresh interpreter,
+    so this needs no installed ``lrange`` binary on PATH.
+    """
+    import tomllib  # Python 3.11+
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lrange"]
+    module_name, _, attr = target.partition(":")
+    assert (module_name, attr) == ("lrange.cli", "main")
+    assert getattr(importlib.import_module(module_name), attr) is main
+
     infile = sample_input(tmp_path, seed=61)
+    argv = ["sample", "--in", infile, "--n", "3", "--format", "json"]
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        ["lrange", "sample", "--in", infile, "--n", "3", "--format", "json"],
+        [sys.executable, "-m", "lrange", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert len(doc["result"]["points"]) == 3
+    assert main(argv) == 0
+    assert capsys.readouterr().out == proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# tolerances
+
+DISHONEST_TOLS = ("nan", "inf", "0", "-1")
+
+
+def star_input(tmp_path):
+    return write_json(
+        tmp_path,
+        "star.json",
+        {
+            "l": encode_linear_map(rand_map(3, 3, 3, 71)),
+            "d": encode_diagonal_tuple(random_diagonal_tuple(3, 3, 72)),
+        },
+    )
+
+
+@pytest.mark.parametrize("tol", DISHONEST_TOLS)
+def test_star_check_rejects_dishonest_tolerance(tmp_path, capsys, tol):
+    infile = star_input(tmp_path)
+    assert main(["star-check", "--in", infile, "--n", "1", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", DISHONEST_TOLS)
+def test_counterexample_rejects_dishonest_tolerance(capsys, tol):
+    assert main(["counterexample", "--restarts", "1", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+def test_other_commands_reject_nan_tolerance(tmp_path, capsys):
+    spec = rand_map(3, 2, 3, 57)
+    d = random_diagonal_tuple(3, 2, 58)
+    a = random_hermitian_tuple(3, 2, 59)
+    witness_in = write_json(
+        tmp_path,
+        "witness.json",
+        {
+            "l": encode_linear_map(spec),
+            "d": encode_diagonal_tuple(d),
+            "chain": encode_pinch_chain(PinchChain(3, (Pinching(1, 2, 0.35),))),
+        },
+    )
+    orbit_in = write_json(
+        tmp_path,
+        "orbit.json",
+        {
+            "l": encode_linear_map(spec),
+            "a": encode_hermitian_tuple(a),
+            "y": [float(x) for x in eval_map(spec, a)],
+        },
+    )
+    for argv in (
+        ["witness", "--in", witness_in],
+        ["convexity", "--in", orbit_in, "--n", "1"],
+        ["membership", "--in", orbit_in, "--restarts", "1"],
+    ):
+        assert main(argv + ["--tol", "nan"]) == 2, argv
+        captured = capsys.readouterr()
+        assert "tolerance must be positive and finite" in captured.err
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from lrange import (
     EllipsoidParams,
     HermitianMatrix,
     LinearMapSpec,
+    NumericalError,
     UnitaryMatrix,
     angles_of_omega,
     conjugate_tuple,
@@ -28,6 +29,9 @@ from lrange import (
     slice_point,
     t_theta_phi,
 )
+
+from lrange import ellipsoid
+from lrange.ellipsoid import _preimage
 
 from conftest import rand_map
 
@@ -220,6 +224,47 @@ class TestMembership:
             assert sampled - dist <= 0.05 * scale
 
 
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([3, 2, 1]),
+    st.sampled_from([1e-9, 1e-7, 1e-6]),
+)
+def test_batched_interior_mask_matches_slice_membership(seed, rank, band):
+    """The batched interior test agrees with the per-slice verdict.
+
+    Generators of rank 2 and 1 are exact products of thin factors, so their
+    smallest singular values sit far below the rank cutoff; query points
+    mix interior, near-surface, surface, exterior and off-range offsets.
+    """
+    rng = np.random.default_rng(seed)
+    count = 16
+    a = rng.normal(size=(count, 3))
+    m = rng.normal(size=(count, 3, rank)) @ rng.normal(size=(count, rank, 3))
+    w = rng.normal(size=(count, 3))
+    radii = rng.choice([0.0, 0.3, 0.999, 1.0, 1.001, 2.0], size=count)
+    w *= (radii / np.linalg.norm(w, axis=1))[:, None]
+    offsets = rng.choice([0.0, 1e-3], size=count)[:, None] * rng.normal(size=(count, 3))
+    y = a + np.einsum("tij,tj->ti", m, w) + offsets
+
+    inside = _preimage(m, y - a, band)[-1]
+    expected = [
+        slice_membership(
+            EllipsoidParams(a[t], m[t, :, 0], m[t, :, 1] - 1j * m[t, :, 2]), y[t], band
+        ).kind
+        == INSIDE
+        for t in range(count)
+    ]
+    assert inside.tolist() == expected
+    if rank < 3:
+        assert not inside.any()
+
+
+def test_membership_rejects_non_finite_query():
+    params = EllipsoidParams([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, -2.0j])
+    with pytest.raises(ValueError):
+        slice_membership(params, np.array([0.0, np.nan, 0.0]), tol=1e-9)
+
+
 class TestDegeneration:
     def test_three_level_spectrum_example(self):
         # P' = diag(6,2,4): middle eigenvalue 4 becomes the scalar block.
@@ -253,6 +298,19 @@ class TestDegeneration:
         assert first.max() - first.min() <= 1e-8
         sig = np.linalg.svd(params.m_matrix, compute_uv=False)
         assert abs(np.linalg.det(params.m_matrix)) <= 1e-8 * max(sig[0], 1e-30) ** 3
+
+    def test_block_drift_is_a_numerical_error(self, monkeypatch):
+        real_eig = ellipsoid.hermitian_eig
+
+        def shifted_eig(a):
+            w, x = real_eig(a)
+            w = w.copy()
+            w[1] += 1.0
+            return w, x
+
+        monkeypatch.setattr(ellipsoid, "hermitian_eig", shifted_eig)
+        with pytest.raises(NumericalError, match="block drift"):
+            degenerate_unitary(random_diagonal_tuple(4, 2, seed=3), rand_map(3, 2, 4, seed=4))
 
     def test_rejects_two_level_systems(self):
         d = random_diagonal_tuple(2, 1, seed=23)

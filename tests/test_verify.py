@@ -8,7 +8,12 @@ from lrange import (
     DiagonalTuple,
     HermitianMatrix,
     HermitianTuple,
+    MembershipResult,
+    PinchChain,
+    Pinching,
     PointCloud,
+    ScalingTarget,
+    UnitaryMatrix,
     apply_chain,
     chain_witness,
     check_convex,
@@ -17,6 +22,7 @@ from lrange import (
     conjugate_tuple,
     counterexample_instance,
     counterexample_report,
+    derive_seed,
     eval_map,
     haar_unitary,
     make_c_map,
@@ -25,7 +31,13 @@ from lrange import (
     random_hermitian_tuple,
     sample_orbit_cloud,
     scale_offdiag,
+    single_pinch_witness,
+    slice_membership,
+    slice_params,
     star_center,
+    star_point_witness,
+    star_scaling_chain,
+    synth_scaling,
 )
 
 from conftest import rand_map
@@ -75,6 +87,14 @@ def test_cloud_respects_affine_covariance():
     np.testing.assert_allclose(moved.points, expected, atol=1e-9)
 
 
+def test_neighbouring_seeds_give_different_clouds():
+    a = random_hermitian_tuple(3, 2, seed=7)
+    spec = rand_map(2, 2, 3, seed=8)
+    zero = sample_orbit_cloud(spec, a, 8, seed=0).points
+    one = sample_orbit_cloud(spec, a, 8, seed=1).points
+    assert not np.allclose(np.sort(zero, axis=0), np.sort(one, axis=0))
+
+
 def test_cloud_validates_inputs():
     a = random_hermitian_tuple(3, 2, seed=10)
     with pytest.raises(ValueError):
@@ -92,7 +112,7 @@ def test_pinched_cloud_points_admit_chain_witnesses():
     dhat = apply_chain(chain, d)
     cloud = sample_orbit_cloud(spec, dhat.to_hermitian(), 3, seed=16)
     for j in range(3):
-        u = haar_unitary(3, 16 ^ j)
+        u = haar_unitary(3, derive_seed(16, j))
         w = chain_witness(d, spec, chain, u=u, tol=1e-4)
         assert w.residual <= 1e-3
         # the chain witness target is exactly the recorded cloud point
@@ -260,3 +280,38 @@ def test_counterexample_image_oracle():
     ss = np.linspace(0.0, 1.0, 20001)
     profile = np.sqrt((1 - ss) ** 2 + ss**2)
     assert profile.min() == pytest.approx(np.sqrt(0.5), abs=1e-8)
+
+
+# -------------------------------------------------------------- tolerances
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_public_functions_reject_dishonest_tolerances(tol):
+    d = random_diagonal_tuple(3, 2, seed=1)
+    spec = rand_map(3, 2, 3, seed=2)
+    a = d.to_hermitian()
+    u = haar_unitary(3, seed=3)
+    calls = {
+        "slice_membership": lambda: slice_membership(
+            slice_params(d, u, spec), np.zeros(3), tol
+        ),
+        "synth_scaling": lambda: synth_scaling(ScalingTarget(3, 0.5), tol=tol),
+        "single_pinch_witness": lambda: single_pinch_witness(
+            d, spec, Pinching(1, 2, 0.5), tol=tol
+        ),
+        "chain_witness": lambda: chain_witness(d, spec, PinchChain(3, ()), tol=tol),
+        "star_scaling_chain": lambda: star_scaling_chain(d, spec, 0.5, tol),
+        "star_point_witness": lambda: star_point_witness(d, spec, u, 1.0, tol=tol),
+        "check_star_shaped": lambda: check_star_shaped(spec, d, samples=1, tol=tol),
+        "check_convex": lambda: check_convex(spec, a, pairs=1, tol=tol),
+        "check_ct_inclusion": lambda: check_ct_inclusion(
+            rand_map(2, 2, 3, seed=4), a, 0.5, samples=1, tol=tol
+        ),
+        "counterexample_report": lambda: counterexample_report(restarts=1, tol=tol),
+        "is_member": lambda: MembershipResult(
+            UnitaryMatrix.identity(3), 0.0, 0, 1
+        ).is_member(tol),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            call()

@@ -6,8 +6,10 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrange import witness as witness_module
 from lrange import (
     DiagonalTuple,
+    PathSpec,
     PinchChain,
     Pinching,
     ScalingTarget,
@@ -20,6 +22,7 @@ from lrange import (
     derive_seed,
     eval_map,
     haar_unitary,
+    make_path,
     principal_log_unitary,
     random_diagonal_tuple,
     single_pinch_witness,
@@ -28,7 +31,6 @@ from lrange import (
     star_scaling_chain,
     synth_scaling,
     t_theta_phi,
-    unitary_path,
 )
 
 from conftest import rand_map
@@ -49,21 +51,21 @@ def reevaluate(d, spec, u_prime, target):
 def test_path_endpoints():
     u = haar_unitary(3, seed=1)
     v = haar_unitary(3, seed=2)
-    assert np.linalg.norm(unitary_path(u, v, 0.0).mat - u.mat) <= 1e-10
-    assert np.linalg.norm(unitary_path(u, v, 1.0).mat - v.mat) <= 1e-10
+    assert np.linalg.norm(make_path(u, v).at(0.0).mat - u.mat) <= 1e-10
+    assert np.linalg.norm(make_path(u, v).at(1.0).mat - v.mat) <= 1e-10
 
 
 def test_path_with_equal_endpoints_is_constant():
     u = haar_unitary(4, seed=3)
     for t in (0.0, 0.3, 0.77, 1.0):
-        assert np.linalg.norm(unitary_path(u, u, t).mat - u.mat) <= 1e-12
+        assert np.linalg.norm(make_path(u, u).at(t).mat - u.mat) <= 1e-12
 
 
 @given(seeds, st.floats(0, 1))
 def test_path_stays_unitary(seed, t):
     u = haar_unitary(3, derive_seed(seed, 0))
     v = haar_unitary(3, derive_seed(seed, 1))
-    f = unitary_path(u, v, t).mat
+    f = make_path(u, v).at(t).mat
     assert np.linalg.norm(f.conj().T @ f - np.eye(3)) <= 1e-10
 
 
@@ -74,7 +76,7 @@ def test_path_matches_scipy_geodesic():
     k = scipy.linalg.logm(u.mat.conj().T @ v.mat)
     for t in (0.25, 0.5, 0.9):
         expected = u.mat @ scipy.linalg.expm(t * k)
-        assert np.linalg.norm(unitary_path(u, v, t).mat - expected) <= 1e-8
+        assert np.linalg.norm(make_path(u, v).at(t).mat - expected) <= 1e-8
 
 
 def test_principal_log_is_skew_and_exact():
@@ -135,7 +137,7 @@ def test_witness_factors_through_rotation_times_path():
     u = haar_unitary(3, seed=15)
     w = single_pinch_witness(d, spec, Pinching(1, 2, 0.62), u=u, tol=1e-8)
     v = degenerate_unitary(d, spec).v
-    f = unitary_path(u, v, w.t)
+    f = make_path(u, v).at(w.t)
     rebuilt = t_theta_phi(w.theta, w.phi, 3).mat @ f.mat
     assert np.linalg.norm(w.uprime.mat - rebuilt) <= 1e-10
 
@@ -175,6 +177,51 @@ def test_pinch_witnesses_are_sound_everywhere(seed, alpha):
     assert w.residual <= 1e-6
     assert reevaluate(d, spec, w.uprime, target) <= 1e-6
     assert 0.0 <= w.t <= 1.0
+
+
+@pytest.mark.parametrize("seed, n, delta", [(4, 3, 5e-7), (9, 3, 2.2e-7), (8, 4, 2.2e-7)])
+def test_near_identity_pinch_meets_tolerance(seed, n, delta):
+    """A target within the membership band of the initial slice surface.
+
+    The band bounds how far the preimage norm is from one, not how far the
+    target is from the surface, so the surface shortcut at the start of
+    the path must not be taken unless it meets the tolerance.
+    """
+    d = random_diagonal_tuple(n, 2, seed)
+    spec = rand_map(3, 2, n, seed + 1000)
+    u = haar_unitary(n, seed + 2000)
+    pinch = Pinching(1, 2, 1.0 - delta)
+    w = single_pinch_witness(d, spec, pinch, u=u, tol=1e-6)
+    dhat = apply_chain(PinchChain(n, (pinch,)), d)
+    target = eval_map(spec, conjugate_tuple(dhat.to_hermitian(), u))
+    assert reevaluate(d, spec, w.uprime, target) <= 1e-6
+
+
+def test_crossing_search_computes_each_slice_once(monkeypatch):
+    """Slice geometry is computed at most once per path parameter."""
+    produced = {}  # id of a path-point stack -> (stack, its parameters)
+    seen = []
+    real_at_raw = PathSpec.at_raw
+    real_geometry = witness_module._slice_geometry
+
+    def at_raw(self, ts):
+        out = real_at_raw(self, ts)
+        produced[id(out)] = (out, [float(t) for t in ts])
+        return out
+
+    def geometry(d, us, cs):
+        # a stack not built from the path is the start unitary, t = 0
+        seen.extend(produced[id(us)][1] if id(us) in produced else [0.0])
+        return real_geometry(d, us, cs)
+
+    monkeypatch.setattr(PathSpec, "at_raw", at_raw)
+    monkeypatch.setattr(witness_module, "_slice_geometry", geometry)
+    d = random_diagonal_tuple(3, 2, seed=13)
+    spec = rand_map(3, 2, 3, seed=14)
+    w = single_pinch_witness(d, spec, Pinching(1, 2, 0.62), u=haar_unitary(3, seed=15))
+    assert w.t > 0.0
+    assert len(seen) > 200
+    assert len(set(seen)) == len(seen)
 
 
 def test_witness_validates_inputs():
