@@ -219,61 +219,43 @@ def slice_point(params: EllipsoidParams, theta: float, phi: float) -> np.ndarray
 def nearest_surface(params: EllipsoidParams, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Best unit-norm preimage: minimizes ``||a + M omega - y||`` over the sphere.
 
-    Solved exactly through the secular equation of the constrained least
-    squares problem; the degenerate ("hard") case, where the optimal
-    multiplier hits the smallest singular value, pads the solution inside
-    the corresponding singular subspace.
+    With ``M = P diag(sig) Q^T`` and ``s = P^T (y - a)``, the minimizer has
+    weights ``z = sig s / (sig^2 - lam)``, where the multiplier ``lam`` solves
+    the secular equation ``||z|| = 1`` below ``min sig^2``; it is bisected
+    until the midpoint equals an end of the bracket.  In the hard case
+    (``y - a`` orthogonal to the smallest singular directions) the ``live``
+    mask drops those components, and when the rest fits in the sphere the
+    multiplier is ``min sig^2`` and the deficit is padded along them.
     """
     y = np.asarray(y, dtype=np.float64).reshape(3)
     m = params.m_matrix
     p, sig, qt = np.linalg.svd(m)
     s = p.T @ (y - params.a)
     prod = sig * s
-    floor = sig[-1] ** 2
-    tie = np.isclose(sig**2, floor, rtol=1e-12, atol=0.0)
+    sig2 = sig**2
+    floor = sig2[-1]
+    tie = np.isclose(sig2, floor, rtol=1e-12, atol=0.0)
     scale = max(1.0, float(sig[0]) * float(np.linalg.norm(s)))
     hard = bool(np.all(np.abs(prod[tie]) <= 1e-14 * scale))
+    live = ~tie if hard else np.ones(3, dtype=bool)
 
-    def secular(lam: float, skip_tie: bool) -> float:
-        total = 0.0
-        for i in range(3):
-            if skip_tie and tie[i]:
-                continue
-            den = sig[i] ** 2 - lam
-            if den <= 0.0:
-                return np.inf
-            total += (prod[i] / den) ** 2
-        return total
-
-    z = np.zeros(3)
-    if hard and secular(floor, True) <= 1.0:
-        for i in range(3):
-            if not tie[i]:
-                z[i] = prod[i] / (sig[i] ** 2 - floor)
-        deficit = max(0.0, 1.0 - float(z @ z))
-        z[int(np.argmax(tie))] += np.sqrt(deficit)
-    else:
-        lo = floor - float(np.linalg.norm(prod)) - 1.0
-        hi = floor
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if secular(mid, hard) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        for i in range(3):
-            den = sig[i] ** 2 - lo
-            if hard and tie[i]:
-                continue
-            if den != 0.0:
-                z[i] = prod[i] / den
+    # the hard case first tries the multiplier at the floor itself
+    lo, hi = floor - float(np.linalg.norm(prod)) - 1.0, floor
+    lam = hi if hard else 0.5 * (lo + hi)
+    for _ in range(300):
+        z = prod / np.where(live, sig2 - lam, np.inf)
+        if z @ z > 1.0:
+            hi = lam
+        else:
+            lo = lam
+        lam = 0.5 * (lo + hi)
+        if lam <= lo or lam >= hi:
+            break
+    z = prod / np.where(live, sig2 - lo, np.inf)
+    if lo == floor:
+        z[np.argmax(tie)] += np.sqrt(max(0.0, 1.0 - float(z @ z)))
     norm = float(np.linalg.norm(z))
-    if norm > 0.0:
-        z = z / norm
-    else:
-        z = np.array([1.0, 0.0, 0.0])
+    z = z / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
     omega = qt.T @ z
     distance = float(np.linalg.norm(m @ omega - (y - params.a)))
     return omega, distance

@@ -10,6 +10,7 @@ Decoding errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -98,6 +99,8 @@ def _decode_int(obj, path: str) -> int:
 def _decode_real(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise FormatError(path, f"expected a number, got {obj!r}")
+    if not abs(obj) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise FormatError(path, f"expected a finite number, got {obj!r}")
     return float(obj)
 
 

@@ -49,8 +49,11 @@ class DescentOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.max_iter < 0 or self.step <= 0 or self.grad_tol < 0:
-            raise ValueError("bad descent options")
+        # every comparison with NaN is False, so NaN fails each range check
+        td = 0.0 if self.target_distance is None else self.target_distance
+        ok = 0 < self.step < np.inf and 0 <= self.grad_tol < np.inf and 0 <= td < np.inf
+        if self.max_iter < 0 or not ok:
+            raise ValueError(f"bad descent options: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +68,15 @@ class MembershipResult:
     def is_member(self, tol: float = 1e-6) -> bool:
         _check_tol(tol)
         return self.distance <= tol
+
+
+def _check_vector(x, l: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (l,):
+        raise ValueError(f"{name} must have shape ({l},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return x
 
 
 def _conj_stack(a_stack: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -88,9 +100,7 @@ def gradient(
     The returned matrix is skew-Hermitian; moving along ``U exp(-eta G)``
     decreases the objective to first order.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.l,):
-        raise ValueError(f"target must have shape ({spec.l},), got {y.shape}")
+    y = _check_vector(y, spec.l, "target")
     xs = _conj_stack(a.stack(), u.mat)
     _, g = _residual_grad(spec.stack(), xs, y)
     return g
@@ -153,10 +163,8 @@ def orbit_distance(
     met, which the star-shapedness fallback relies on.
     """
     opts = opts or DescentOptions()
-    y = np.asarray(y, dtype=float)
     _check_fits(spec, a)
-    if y.shape != (spec.l,):
-        raise ValueError(f"target must have shape ({spec.l},), got {y.shape}")
+    y = _check_vector(y, spec.l, "target")
     a_stack = a.stack()
     cs = spec.stack()
 
@@ -191,9 +199,7 @@ def support_value(
     ``B_i = sum_k w_k C[k][i]``, run as descent on the negated objective.
     """
     opts = opts or DescentOptions()
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.l,):
-        raise ValueError(f"direction must have shape ({spec.l},), got {w.shape}")
+    w = _check_vector(w, spec.l, "direction")
     if abs(np.linalg.norm(w) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
     _check_fits(spec, a)

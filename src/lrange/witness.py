@@ -21,7 +21,6 @@ import scipy.linalg
 from .core import (
     ALGEBRAIC_TOL,
     DiagonalTuple,
-    HermitianTuple,
     LinearMapSpec,
     NumericalError,
     UnitaryMatrix,
@@ -161,7 +160,9 @@ def _pinch12_witness(
     """Crossing search for a pinching already sitting at slots (1, 2).
 
     Each path parameter's slice geometry is computed once: a midpoint that
-    is not interior becomes the upper bracket together with its slice.
+    is not interior becomes the upper bracket with its least-norm preimage,
+    whose radial projection ``omega / rho`` is the candidate witness; its
+    distance vanishes at the crossing, where ``rho = 1``.
     """
     n = d.n
     cs = spec3.stack()
@@ -191,7 +192,7 @@ def _pinch12_witness(
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
     grid = _slice_geometry(d, path.at_raw(ts[1:]), cs)
     a, b, c, m = (np.concatenate(pair) for pair in zip(start, grid))
-    _, rho, resid, _, _, inside = _preimage(m, y - a, _SCAN_BAND)
+    omega, rho, resid, _, _, inside = _preimage(m, y - a, _SCAN_BAND)
     exits = np.nonzero(~inside)[0]
 
     first = int(exits[0]) if exits.size else _GRID_POINTS - 1
@@ -201,25 +202,28 @@ def _pinch12_witness(
             f"rho={rho[0]:.6f}, residual={resid[0]:.3e}"
         )
     lo, hi = float(ts[first - 1]), float(ts[first])
-    hi_params = EllipsoidParams(a[first], b[first], c[first])
+    hi_at = (omega[first], rho[first], m[first], y - a[first])
 
     best = None  # (dist, t, omega)
     for _ in range(_MAX_BISECT):
-        omega, dist = nearest_surface(hi_params, y)
+        omega_h, rho_h, m_h, r_h = hi_at
+        unit = omega_h / rho_h if rho_h > 0 else np.array([1.0, 0.0, 0.0])
+        dist = float(np.linalg.norm(m_h @ unit - r_h))
         if best is None or dist < best[0]:
-            best = (dist, hi, omega)
+            best = (dist, hi, unit)
         if dist <= goal:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        a_m, b_m, c_m, m_m = (
+        a_m, _, _, m_m = (
             x[0] for x in _slice_geometry(d, path.at_raw(np.array([mid])), cs)
         )
-        if _preimage(m_m, y - a_m, _SCAN_BAND)[-1]:
+        omega_m, rho_m, _, _, _, inside_m = _preimage(m_m, y - a_m, _SCAN_BAND)
+        if inside_m:
             lo = mid
         else:
-            hi, hi_params = mid, EllipsoidParams(a_m, b_m, c_m)
+            hi, hi_at = mid, (omega_m, rho_m, m_m, y - a_m)
 
     # degenerate endpoint fallback: the flattened slice fills its hull
     omega, dist = nearest_surface(EllipsoidParams(a[-1], b[-1], c[-1]), y)

@@ -416,6 +416,38 @@ def test_membership_rejects_wrong_target_length(tmp_path, capsys):
     assert "y" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+def test_membership_rejects_non_finite_target(tmp_path, capsys, literal):
+    """``json`` accepts ``NaN`` and ``Infinity``; the decoder must not."""
+    spec = rand_map(2, 1, 3, 31)
+    a = random_hermitian_tuple(3, 1, 77)
+    doc = {"l": encode_linear_map(spec), "a": encode_hermitian_tuple(a), "y": "Y"}
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(doc).replace('"Y"', f"[{literal}, 0.0]"))
+    assert main(["membership", "--in", str(infile)]) == 2
+    assert "y[0]" in capsys.readouterr().err
+
+
+def _src_env():
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_import_does_not_load_scipy_optimize():
+    """``scipy.optimize`` adds about 21 MB of peak RSS to a run, while the
+    benchmark bounds ``peak_rss_mb`` at 10%; the package must not need it."""
+    code = "import sys, lrange; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # console script
 
@@ -436,12 +468,11 @@ def test_console_script_is_wired_up(tmp_path, capsys):
 
     infile = sample_input(tmp_path, seed=61)
     argv = ["sample", "--in", infile, "--n", "3", "--format", "json"]
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "lrange", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

@@ -224,6 +224,53 @@ class TestMembership:
             assert sampled - dist <= 0.05 * scale
 
 
+@pytest.mark.parametrize("kind", ["rank3", "rank2", "sphere", "hard", "near_hard"])
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(-13.0, -6.0))
+def test_nearest_surface_is_a_constrained_minimum(kind, seed, log_tied):
+    """Unit, stationary on the sphere, and no worse than a dense sample.
+
+    ``hard`` puts ``y - a`` orthogonal to the smallest singular direction,
+    as a rank-2 generator does for every target; ``near_hard`` gives it a
+    tiny weight ``10**log_tied`` there.  Half of these two kinds tie the
+    two smallest singular values.
+    """
+    rng = np.random.default_rng(seed)
+    p, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    sig = np.sort(rng.uniform(0.2, 2.0, size=3))[::-1]
+    if kind == "rank2":
+        sig[2] = 0.0
+    if kind == "sphere":
+        sig[:] = sig[0]
+    if kind in ("hard", "near_hard") and rng.random() < 0.5:
+        sig[1] = sig[2]
+    tied = sig == sig[2]
+    s = rng.normal(size=3) * rng.choice([0.1, 0.5, 1.0, 3.0])
+    if kind == "hard":
+        s[tied] = 0.0
+    if kind == "near_hard":
+        s[tied] *= 10.0**log_tied / np.linalg.norm(s[tied])
+    m = p @ np.diag(sig) @ q.T
+    a = rng.normal(size=3)
+    r = p @ s
+    params = EllipsoidParams(a, m[:, 0], m[:, 1] - 1j * m[:, 2])
+
+    omega, dist = nearest_surface(params, a + r)
+    assert np.linalg.norm(omega) == pytest.approx(1.0, abs=1e-12)
+    assert dist == pytest.approx(np.linalg.norm(m @ omega - r), abs=1e-12)
+    eps_t = 0.0
+    if kind == "near_hard":
+        # the multiplier sits only about sig_min |s_tied| below sig_min^2 but
+        # is resolved to one ulp of it, so the final normalization spreads a
+        # relative error of up to eps_t over the weights
+        eps_t = 2.0 * np.finfo(float).eps * sig[2] / np.linalg.norm(s[tied])
+    grad = m.T @ (m @ omega - r)
+    tangential = np.linalg.norm(grad - omega * (omega @ grad))
+    assert tangential <= (1e-12 + 4.0 * eps_t) * sig[0] * (sig[0] + np.linalg.norm(r))
+    sampled = np.linalg.norm(fibonacci_sphere(20000) @ m.T - r, axis=1).min()
+    assert dist**2 <= (sampled + 1e-9) ** 2 + (2.0 * sig[0] * eps_t) ** 2
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([3, 2, 1]),

@@ -104,6 +104,38 @@ def test_descent_options_are_validated():
         DescentOptions(max_iter=-1)
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("target_distance", np.nan),
+        ("target_distance", -1.0),
+        ("target_distance", np.inf),
+        ("step", np.nan),
+        ("step", np.inf),
+        ("grad_tol", np.nan),
+        ("grad_tol", np.inf),
+    ],
+)
+def test_descent_options_reject_dishonest_knobs(knob, value):
+    """A NaN target distance would silently switch off the early stop."""
+    assert DescentOptions(target_distance=0.0).target_distance == 0.0
+    with pytest.raises(ValueError):
+        DescentOptions(**{knob: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_targets_and_directions_are_rejected(bad):
+    a = random_hermitian_tuple(3, 2, seed=14)
+    spec = rand_map(2, 2, 3, seed=15)
+    vec = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        orbit_distance(spec, a, vec)
+    with pytest.raises(ValueError, match="non-finite"):
+        gradient(spec, a, UnitaryMatrix.identity(3), vec)
+    with pytest.raises(ValueError, match="non-finite"):
+        support_value(spec, a, vec)
+
+
 # ----------------------------------------------------------------- gradient
 
 

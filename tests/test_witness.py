@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrange import ellipsoid as ellipsoid_module
 from lrange import witness as witness_module
 from lrange import (
     DiagonalTuple,
@@ -222,6 +223,43 @@ def test_crossing_search_computes_each_slice_once(monkeypatch):
     assert w.t > 0.0
     assert len(seen) > 200
     assert len(set(seen)) == len(seen)
+
+
+@given(
+    seeds,
+    st.integers(3, 5),
+    st.integers(1, 3),
+    st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.0)),
+    st.data(),
+)
+def test_crossing_search_solves_at_most_two_surfaces(seed, n, m, alpha, data):
+    """Nearest-surface solves happen only at the two ends of the path.
+
+    One checks the ``ON_SURFACE`` shortcut at ``t = 0``, the other the
+    flattened slice at ``t = 1``; the bisection itself reads its
+    candidates off the least-norm preimage.
+    """
+    s = data.draw(st.integers(1, n - 1))
+    pinch = Pinching(s, data.draw(st.integers(s + 1, n)), alpha)
+    d = random_diagonal_tuple(n, m, derive_seed(seed, 0))
+    spec = rand_map(3, m, n, derive_seed(seed, 1))
+    u = haar_unitary(n, derive_seed(seed, 2))
+    calls = []
+    real = witness_module.nearest_surface
+
+    def counted(params, y):
+        calls.append(1)
+        return real(params, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_module, "nearest_surface", counted)
+        mp.setattr(ellipsoid_module, "nearest_surface", counted)
+        w = single_pinch_witness(d, spec, pinch, u=u, tol=1e-6)
+    dhat = apply_chain(PinchChain(n, (pinch,)), d)
+    target = eval_map(spec, conjugate_tuple(dhat.to_hermitian(), u))
+    assert w.residual <= 1e-6
+    assert reevaluate(d, spec, w.uprime, target) <= 1e-6
+    assert len(calls) <= 2
 
 
 def test_witness_validates_inputs():
