@@ -37,7 +37,6 @@ __all__ = [
     "ON_SURFACE",
     "OUTSIDE",
     "t_theta_phi",
-    "lift_map",
     "slice_params",
     "slice_point",
     "omega_of_angles",
@@ -117,36 +116,54 @@ def t_theta_phi(theta: float, phi: float, n: int) -> UnitaryMatrix:
     return UnitaryMatrix(out)
 
 
-def lift_map(spec: LinearMapSpec) -> LinearMapSpec:
-    """Pad a map with l < 3 by zero output rows so slice machinery applies.
+def _lift(spec: LinearMapSpec, d: DiagonalTuple) -> np.ndarray:
+    """The map's coefficients for ``d``, zero-padded to three output rows.
 
-    Maps with l = 3 pass through unchanged; l = 4 is rejected here because
-    slices are only ellipsoids for three output coordinates.
+    Slices are ellipsoids only for three output coordinates, so maps with
+    fewer are padded with zero rows and maps with more are rejected.
+    Returns the (3, m, n, n) coefficient array.
     """
-    if spec.l == 3:
-        return spec
     if spec.l > 3:
         raise ValueError(
-            f"slice machinery handles at most 3 output coordinates, got l={spec.l}"
+            f"slices and witnesses handle at most 3 output coordinates, got "
+            f"l={spec.l}; inclusion genuinely fails beyond that"
         )
-    zero = HermitianMatrix(np.zeros((spec.n, spec.n), dtype=np.complex128))
-    zero_row = tuple(zero for _ in range(spec.m))
-    rows = tuple(spec.coeffs) + tuple(zero_row for _ in range(3 - spec.l))
-    return LinearMapSpec(rows)
+    _check_fits(spec, d)
+    cs = spec.stack()
+    return np.concatenate([cs, np.zeros((3 - spec.l,) + cs.shape[1:], cs.dtype)])
+
+
+def _conj_diag(us: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """``diag(U C U*)`` for every coefficient, batched over leading axes of ``us``.
+
+    ``us`` has shape (..., n, n) and ``cs`` (l, m, n, n); the result has
+    shape (..., l, m, n) and costs O(n^3) per coefficient.
+    """
+    return np.einsum("...ab,kibc,...ac->...kia", us, cs, us.conj()).real
+
+
+def _image(cs: np.ndarray, vectors: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``L(U* D U)`` for the diagonal tuple with (m, n) ``vectors``.
+
+    ``tr(C U* D U) = sum_a d_a (U C U*)_aa``, so only the diagonal of the
+    conjugated coefficients is needed.
+    """
+    return np.einsum("ia,...kia->...k", vectors, _conj_diag(u, cs))
 
 
 def _slice_geometry(
-    d: DiagonalTuple, us: np.ndarray, cs: np.ndarray
+    vectors: np.ndarray, us: np.ndarray, cs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched (a, b, c, M) over a stack of unitaries ``us`` of shape (T, n, n)."""
-    g = np.einsum("tab,kibc,tdc->tkiad", us, cs, us.conj())
-    d1 = d.vectors[:, 0]
-    d2 = d.vectors[:, 1]
-    diag = np.einsum("tkijj->tkij", g[:, :, :, 2:, 2:]).real
-    a = 0.5 * np.einsum("i,tki->tk", d1 + d2, (g[:, :, :, 0, 0] + g[:, :, :, 1, 1]).real)
-    a = a + np.einsum("ij,tkij->tk", d.vectors[:, 2:], diag)
-    b = 0.5 * np.einsum("i,tki->tk", d1 - d2, (g[:, :, :, 0, 0] - g[:, :, :, 1, 1]).real)
-    c = np.einsum("i,tki->tk", (d1 - d2).astype(np.complex128), g[:, :, :, 1, 0])
+    """Batched (a, b, c, M) over a stack of unitaries ``us`` of shape (T, n, n).
+
+    With ``G = U C U*``, ``a`` and ``b`` read only ``diag(G)`` and ``c``
+    only ``G[1, 0]``; the dense ``G`` is never formed.
+    """
+    diag = _conj_diag(us, cs)
+    diff = vectors[:, 0] - vectors[:, 1]
+    b = 0.5 * np.einsum("i,tki->tk", diff, diag[..., 0] - diag[..., 1])
+    a = np.einsum("ia,tkia->tk", vectors, diag) - b  # the point at theta = 0 is a + b
+    c = np.einsum("i,tb,kibc,tc->tk", diff, us[:, 1], cs, us[:, 0].conj())
     m = np.stack([b, c.real, -c.imag], axis=2)
     return a, b, c, m
 
@@ -182,13 +199,12 @@ def slice_params(d: DiagonalTuple, u: UnitaryMatrix, spec: LinearMapSpec) -> Ell
     amplitude and ``c`` the complex sin(2 theta) amplitude; all come from
     the conjugated coefficients ``G = U C U*``.
     """
-    spec3 = lift_map(spec)
-    _check_fits(spec3, d)
+    cs = _lift(spec, d)
     if u.n != d.n:
         raise ValueError(f"unitary has n={u.n}, tuple has n={d.n}")
     if d.n < 2:
         raise ValueError("slices need n >= 2")
-    a, b, c, _ = _slice_geometry(d, u.mat[None], spec3.stack())
+    a, b, c, _ = _slice_geometry(d.vectors, u.mat[None], cs)
     return EllipsoidParams(a[0], b[0], c[0])
 
 
@@ -222,10 +238,12 @@ def nearest_surface(params: EllipsoidParams, y: np.ndarray) -> tuple[np.ndarray,
     With ``M = P diag(sig) Q^T`` and ``s = P^T (y - a)``, the minimizer has
     weights ``z = sig s / (sig^2 - lam)``, where the multiplier ``lam`` solves
     the secular equation ``||z|| = 1`` below ``min sig^2``; it is bisected
-    until the midpoint equals an end of the bracket.  In the hard case
-    (``y - a`` orthogonal to the smallest singular directions) the ``live``
-    mask drops those components, and when the rest fits in the sphere the
-    multiplier is ``min sig^2`` and the deficit is padded along them.
+    until the midpoint equals an end of the bracket.  The weights on the
+    smallest singular directions are then taken from the unit-norm deficit
+    of the others when that is the more accurate value: in the hard case
+    (the bracket never left ``min sig^2``, so the untied weights fit in the
+    sphere) and in the near-hard case, where the multiplier sits so close
+    to ``min sig^2`` that one ulp of it is a large relative error.
     """
     y = np.asarray(y, dtype=np.float64).reshape(3)
     m = params.m_matrix
@@ -235,15 +253,11 @@ def nearest_surface(params: EllipsoidParams, y: np.ndarray) -> tuple[np.ndarray,
     sig2 = sig**2
     floor = sig2[-1]
     tie = np.isclose(sig2, floor, rtol=1e-12, atol=0.0)
-    scale = max(1.0, float(sig[0]) * float(np.linalg.norm(s)))
-    hard = bool(np.all(np.abs(prod[tie]) <= 1e-14 * scale))
-    live = ~tie if hard else np.ones(3, dtype=bool)
 
-    # the hard case first tries the multiplier at the floor itself
     lo, hi = floor - float(np.linalg.norm(prod)) - 1.0, floor
-    lam = hi if hard else 0.5 * (lo + hi)
+    lam = 0.5 * (lo + hi)
     for _ in range(300):
-        z = prod / np.where(live, sig2 - lam, np.inf)
+        z = prod / (sig2 - lam)
         if z @ z > 1.0:
             hi = lam
         else:
@@ -251,9 +265,11 @@ def nearest_surface(params: EllipsoidParams, y: np.ndarray) -> tuple[np.ndarray,
         lam = 0.5 * (lo + hi)
         if lam <= lo or lam >= hi:
             break
-    z = prod / np.where(live, sig2 - lo, np.inf)
-    if lo == floor:
-        z[np.argmax(tie)] += np.sqrt(max(0.0, 1.0 - float(z @ z)))
+    z = prod / (sig2 - lo)
+    deficit = np.sqrt(max(0.0, 1.0 - float(z[~tie] @ z[~tie])))
+    if hi == floor or floor - lo < deficit * floor:
+        along = prod[tie] if prod[tie].any() else np.eye(int(tie.sum()))[0]
+        z[tie] = deficit * along / np.linalg.norm(along)
     norm = float(np.linalg.norm(z))
     z = z / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
     omega = qt.T @ z
@@ -326,13 +342,12 @@ def degenerate_unitary(d: DiagonalTuple, spec: LinearMapSpec) -> DegenerateCerti
     is the scalar ``lam_2 I_2``, killing both the cos(2 theta) and the
     sin(2 theta) amplitude of the first coordinate.
     """
-    spec3 = lift_map(spec)
+    cs = _lift(spec, d)
     n = d.n
     if n < 3:
         raise ValueError(f"degeneration needs n >= 3, got n={n}")
-    _check_fits(spec3, d)
     weights = d.vectors[:, 0] - d.vectors[:, 1]
-    pprime_mat = np.einsum("i,iab->ab", weights, spec3.stack()[0])
+    pprime_mat = np.einsum("i,iab->ab", weights, cs[0])
     pprime = HermitianMatrix(pprime_mat)
     if float(np.linalg.norm(pprime.mat)) == 0.0:
         return DegenerateCertificate(UnitaryMatrix.identity(n), 0.0, pprime)

@@ -28,6 +28,7 @@ from .core import (
     eval_map,
     haar_unitary,
 )
+from .ellipsoid import _lift
 from .optimize import DescentOptions, orbit_distance
 from .pinching import PinchChain, Pinching, apply_chain
 from .witness import WitnessError, star_point_witness, star_scaling_chain
@@ -124,10 +125,7 @@ def check_star_shaped(
     shared across unitaries.
     """
     _check_tol(tol)
-    if spec.l > 3:
-        raise ValueError(
-            f"star certification handles at most 3 output coordinates, got l={spec.l}"
-        )
+    _lift(spec, d)
     n = d.n
     if spec.l == 3 and n < 3:
         raise ValueError("three output coordinates require n >= 3")

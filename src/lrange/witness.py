@@ -24,21 +24,18 @@ from .core import (
     LinearMapSpec,
     NumericalError,
     UnitaryMatrix,
-    _check_fits,
     _check_tol,
-    conjugate_tuple,
-    eval_map,
-    star_center,
 )
 from .ellipsoid import (
     ON_SURFACE,
     OUTSIDE,
     EllipsoidParams,
+    _image,
+    _lift,
     _preimage,
     _slice_geometry,
     angles_of_omega,
     degenerate_unitary,
-    lift_map,
     nearest_surface,
     slice_membership,
     t_theta_phi,
@@ -152,24 +149,26 @@ def _reduction_permutation(s: int, t: int, n: int) -> np.ndarray:
 
 def _pinch12_witness(
     d: DiagonalTuple,
-    spec3: LinearMapSpec,
+    spec: LinearMapSpec,
+    cs: np.ndarray,
     u: UnitaryMatrix,
     y: np.ndarray,
     tol: float,
-) -> tuple[UnitaryMatrix, float, float, float]:
+) -> tuple[np.ndarray, float, float, float]:
     """Crossing search for a pinching already sitting at slots (1, 2).
 
-    Each path parameter's slice geometry is computed once: a midpoint that
-    is not interior becomes the upper bracket with its least-norm preimage,
-    whose radial projection ``omega / rho`` is the candidate witness; its
-    distance vanishes at the crossing, where ``rho = 1``.
+    ``cs`` holds the map's coefficients lifted to three rows.  Each path
+    parameter's slice geometry is computed once: a midpoint that is not
+    interior becomes the upper bracket with its least-norm preimage, whose
+    radial projection ``omega / rho`` is the candidate witness; its
+    distance vanishes at the crossing, where ``rho = 1``.  Returns the
+    witness unitary as a raw array.
     """
     n = d.n
-    cs = spec3.stack()
     member_band = max(1e-9, min(1e-6, tol))
     goal = max(1e-12, 1e-3 * tol)
 
-    start = _slice_geometry(d, u.mat[None], cs)
+    start = _slice_geometry(d.vectors, u.mat[None], cs)
     params = EllipsoidParams(start[0][0], start[1][0], start[2][0])
     verdict = slice_membership(params, y, member_band)
     if verdict.kind == OUTSIDE:
@@ -183,14 +182,13 @@ def _pinch12_witness(
         omega, dist = nearest_surface(params, y)
         if dist <= tol:
             theta, phi = angles_of_omega(omega)
-            uprime = UnitaryMatrix(t_theta_phi(theta, phi, n).mat @ u.mat)
-            return uprime, theta, phi, 0.0
+            return t_theta_phi(theta, phi, n).mat @ u.mat, theta, phi, 0.0
 
     # inside the slice's hull: slide toward the flattened slice
-    cert = degenerate_unitary(d, spec3)
+    cert = degenerate_unitary(d, spec)
     path = make_path(u, cert.v)
     ts = np.linspace(0.0, 1.0, _GRID_POINTS)
-    grid = _slice_geometry(d, path.at_raw(ts[1:]), cs)
+    grid = _slice_geometry(d.vectors, path.at_raw(ts[1:]), cs)
     a, b, c, m = (np.concatenate(pair) for pair in zip(start, grid))
     omega, rho, resid, _, _, inside = _preimage(m, y - a, _SCAN_BAND)
     exits = np.nonzero(~inside)[0]
@@ -217,7 +215,7 @@ def _pinch12_witness(
         if mid <= lo or mid >= hi:
             break
         a_m, _, _, m_m = (
-            x[0] for x in _slice_geometry(d, path.at_raw(np.array([mid])), cs)
+            x[0] for x in _slice_geometry(d.vectors, path.at_raw(np.array([mid])), cs)
         )
         omega_m, rho_m, _, _, _, inside_m = _preimage(m_m, y - a_m, _SCAN_BAND)
         if inside_m:
@@ -237,9 +235,7 @@ def _pinch12_witness(
             f"t={t_star:.6f} exceeds tolerance {tol:.1e}"
         )
     theta, phi = angles_of_omega(omega)
-    uprime = UnitaryMatrix(
-        t_theta_phi(theta, phi, n).mat @ path.at_raw(np.array([t_star]))[0]
-    )
+    uprime = t_theta_phi(theta, phi, n).mat @ path.at_raw(np.array([t_star]))[0]
     return uprime, theta, phi, t_star
 
 
@@ -265,22 +261,15 @@ def single_pinch_witness(
         raise ValueError("witnesses need n >= 2")
     if spec.l == 3 and n < 3:
         raise ValueError("three output coordinates require n >= 3")
-    if spec.l > 3:
-        raise ValueError(
-            f"witnesses handle at most 3 output coordinates, got l={spec.l}; "
-            "inclusion genuinely fails beyond that"
-        )
+    cs = _lift(spec, d)
     if pinch.t > n:
         raise ValueError(f"pinching {pinch} exceeds dimension n={n}")
-    spec3 = lift_map(spec)
-    _check_fits(spec3, d)
     if u is None:
         u = UnitaryMatrix.identity(n)
     if u.n != n:
         raise ValueError(f"unitary has n={u.n}, tuple has n={n}")
 
-    d_hat = apply_chain(PinchChain(n, (pinch,)), d)
-    y = eval_map(spec3, conjugate_tuple(d_hat.to_hermitian(), u))
+    y = _image(cs, apply_chain(PinchChain(n, (pinch,)), d).vectors, u.mat)
 
     sigma = _reduction_permutation(pinch.s, pinch.t, n)
     pi_mat = np.zeros((n, n))
@@ -288,11 +277,10 @@ def single_pinch_witness(
     d_red = DiagonalTuple(d.vectors[:, sigma])
     u_red = UnitaryMatrix(pi_mat @ u.mat)
 
-    uprime_red, theta, phi, t_star = _pinch12_witness(d_red, spec3, u_red, y, tol)
-    uprime = UnitaryMatrix(pi_mat.T @ uprime_red.mat)
+    uprime_red, theta, phi, t_star = _pinch12_witness(d_red, spec, cs, u_red, y, tol)
+    uprime = UnitaryMatrix(pi_mat.T @ uprime_red)
 
-    achieved = eval_map(spec3, conjugate_tuple(d.to_hermitian(), uprime))
-    residual = float(np.linalg.norm(achieved - y))
+    residual = float(np.linalg.norm(_image(cs, d.vectors, uprime.mat) - y))
     if residual > tol:
         raise WitnessError(
             f"witness re-evaluation residual {residual:.3e} exceeds tol {tol:.1e}"
@@ -320,18 +308,17 @@ def chain_witness(
         raise ValueError(f"chain acts on n={chain.n}, tuple has n={n}")
     if u is None:
         u = UnitaryMatrix.identity(n)
-    spec3 = lift_map(spec)
-    y0 = eval_map(
-        spec3, conjugate_tuple(apply_chain(chain, d).to_hermitian(), u)
-    )
+    if u.n != n:
+        raise ValueError(f"unitary has n={u.n}, tuple has n={n}")
+    cs = _lift(spec, d)
+    y0 = _image(cs, apply_chain(chain, d).vectors, u.mat)
     current = u
     theta = phi = t_star = 0.0
     for j, pinch in enumerate(chain.steps):
         partial = apply_chain(PinchChain(n, chain.steps[j + 1 :]), d)
         w = single_pinch_witness(partial, spec, pinch, current, tol)
         current, theta, phi, t_star = w.uprime, w.theta, w.phi, w.t
-    achieved = eval_map(spec3, conjugate_tuple(d.to_hermitian(), current))
-    residual = float(np.linalg.norm(achieved - y0))
+    residual = float(np.linalg.norm(_image(cs, d.vectors, current.mat) - y0))
     return Witness(current, theta, phi, t_star, residual)
 
 
@@ -365,7 +352,7 @@ def star_scaling_chain(
     _check_tol(tol)
     means = d.vectors.mean(axis=1)
     scale = float(np.abs(d.vectors - means[:, None]).max())
-    cs = lift_map(spec).stack()
+    cs = _lift(spec, d)
     row_norms = np.linalg.norm(cs, axis=(2, 3)).sum(axis=1)
     l_scale = float(np.sqrt((row_norms**2).sum()))
     synth_tol = min(1e-2, tol / (4.0 * max(1.0, l_scale * scale * np.sqrt(d.m))))
@@ -393,48 +380,42 @@ def star_point_witness(
     _check_tol(tol)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"ray parameter must lie in [0, 1], got {alpha}")
-    if spec.l > 3:
-        raise ValueError(
-            f"star witnesses handle at most 3 output coordinates, got l={spec.l}"
-        )
     n = d.n
     if spec.l == 3 and n < 3:
         raise ValueError("three output coordinates require n >= 3")
+    cs = _lift(spec, d)
     if u.n != n:
         raise ValueError(f"unitary has n={u.n}, tuple has n={n}")
-    herm = d.to_hermitian()
-    spec3 = lift_map(spec)
-    target = alpha * eval_map(spec3, conjugate_tuple(herm, u)) + (
-        1.0 - alpha
-    ) * star_center(spec3, herm)
+    means = d.vectors.mean(axis=1)
+    orbit = _image(cs, d.vectors, u.mat)
+    centre = _image(cs, np.repeat(means[:, None], n, axis=1), u.mat)
+    target = alpha * orbit + (1.0 - alpha) * centre
 
     if alpha == 1.0:
-        achieved = eval_map(spec3, conjugate_tuple(herm, u))
-        residual = float(np.linalg.norm(achieved - target))
+        residual = float(np.linalg.norm(orbit - target))
         return StarWitness(Witness(u, 0.0, 0.0, 0.0, residual), target, 0.0, 0)
 
     if n == 2:
         from .optimize import DescentOptions, orbit_distance
 
+        # here l <= 2, and the lifted rows of the target are exactly zero
         result = orbit_distance(
-            spec3,
-            herm,
-            target,
+            spec,
+            d.to_hermitian(),
+            target[: spec.l],
             DescentOptions(target_distance=0.25 * tol),
         )
         return StarWitness(
             Witness(result.ubest, 0.0, 0.0, 0.0, result.distance), target, 0.0, 0
         )
 
-    means = d.vectors.mean(axis=1)
     d0 = DiagonalTuple(d.vectors - means[:, None])
     if synth is None:
-        synth = star_scaling_chain(d, spec3, alpha, tol)
+        synth = star_scaling_chain(d, spec, alpha, tol)
     chain = synth.chain
     step_tol = min(1e-6, tol / (2.0 * max(1, len(chain))))
-    cw = chain_witness(d0, spec3, chain, u, tol=max(step_tol, 1e-10))
-    achieved = eval_map(spec3, conjugate_tuple(herm, cw.uprime))
-    residual = float(np.linalg.norm(achieved - target))
+    cw = chain_witness(d0, spec, chain, u, tol=max(step_tol, 1e-10))
+    residual = float(np.linalg.norm(_image(cs, d.vectors, cw.uprime.mat) - target))
     return StarWitness(
         Witness(cw.uprime, cw.theta, cw.phi, cw.t, residual),
         target,

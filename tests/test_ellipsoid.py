@@ -18,9 +18,9 @@ from lrange import (
     angles_of_omega,
     conjugate_tuple,
     degenerate_unitary,
+    derive_seed,
     eval_map,
     haar_unitary,
-    lift_map,
     nearest_surface,
     omega_of_angles,
     random_diagonal_tuple,
@@ -31,7 +31,7 @@ from lrange import (
 )
 
 from lrange import ellipsoid
-from lrange.ellipsoid import _preimage
+from lrange.ellipsoid import _image, _lift, _preimage, _slice_geometry
 
 from conftest import rand_map
 
@@ -117,8 +117,9 @@ class TestSliceParams:
         assert params.c[2] == 0.0
 
     def test_lift_rejects_four_outputs(self):
-        with pytest.raises(ValueError):
-            lift_map(rand_map(4, 1, 3, seed=9))
+        d = random_diagonal_tuple(3, 1, seed=9)
+        with pytest.raises(ValueError, match="at most 3 output coordinates"):
+            slice_params(d, haar_unitary(3, seed=9), rand_map(4, 1, 3, seed=9))
 
     def test_rejects_shape_mismatch(self):
         d = random_diagonal_tuple(3, 2, seed=10)
@@ -126,6 +127,50 @@ class TestSliceParams:
             slice_params(d, haar_unitary(3, seed=0), rand_map(3, 3, 3, seed=11))
         with pytest.raises(ValueError):
             slice_params(d, haar_unitary(4, seed=0), rand_map(3, 2, 3, seed=11))
+
+
+def dense_slice_geometry(vectors, us, cs):
+    """Reference slice parameters from the full ``G = U C U*``, O(n^4) each."""
+    g = np.einsum("tab,kibc,tdc->tkiad", us, cs, us.conj())
+    d1, d2 = vectors[:, 0], vectors[:, 1]
+    g00, g11 = g[:, :, :, 0, 0].real, g[:, :, :, 1, 1].real
+    rest = np.einsum("tkijj->tkij", g[:, :, :, 2:, 2:]).real
+    a = 0.5 * np.einsum("i,tki->tk", d1 + d2, g00 + g11)
+    a = a + np.einsum("ij,tkij->tk", vectors[:, 2:], rest)
+    b = 0.5 * np.einsum("i,tki->tk", d1 - d2, g00 - g11)
+    c = np.einsum("i,tki->tk", d1 - d2, g[:, :, :, 1, 0])
+    return a, b, c
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 8),
+)
+def test_slice_kernel_matches_dense_reference(seed, n, m, l, batch):
+    """``diag(U C U*)`` and ``G[1, 0]`` give the dense formula's slice, and
+    ``_image`` is the map evaluated on the conjugated tuple."""
+    d = random_diagonal_tuple(n, m, derive_seed(seed, 0))
+    spec = rand_map(l, m, n, derive_seed(seed, 1))
+    us = np.stack([haar_unitary(n, derive_seed(seed, 2 + t)).mat for t in range(batch)])
+    cs = _lift(spec, d)
+    assert cs.shape == (3, m, n, n)
+
+    a, b, c, m_matrix = _slice_geometry(d.vectors, us, cs)
+    for got, want in zip((a, b, c), dense_slice_geometry(d.vectors, us, cs)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_array_equal(m_matrix, np.stack([b, c.real, -c.imag], axis=2))
+
+    images = _image(cs, d.vectors, us)
+    for t in range(batch):
+        direct = eval_map(spec, conjugate_tuple(d.to_hermitian(), UnitaryMatrix(us[t])))
+        want = np.concatenate([direct, np.zeros(3 - l)])
+        np.testing.assert_allclose(images[t], want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(
+            _image(cs, d.vectors, us[t]), images[t], rtol=0, atol=1e-14 * np.abs(want).max()
+        )
 
 
 class TestParametrization:
@@ -224,7 +269,9 @@ class TestMembership:
             assert sampled - dist <= 0.05 * scale
 
 
-@pytest.mark.parametrize("kind", ["rank3", "rank2", "sphere", "hard", "near_hard"])
+@pytest.mark.parametrize(
+    "kind", ["rank3", "rank2", "sphere", "hard", "near_hard", "flat"]
+)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(-13.0, -6.0))
 def test_nearest_surface_is_a_constrained_minimum(kind, seed, log_tied):
     """Unit, stationary on the sphere, and no worse than a dense sample.
@@ -232,13 +279,15 @@ def test_nearest_surface_is_a_constrained_minimum(kind, seed, log_tied):
     ``hard`` puts ``y - a`` orthogonal to the smallest singular direction,
     as a rank-2 generator does for every target; ``near_hard`` gives it a
     tiny weight ``10**log_tied`` there.  Half of these two kinds tie the
-    two smallest singular values.
+    two smallest singular values.  ``flat`` has an exactly zero singular
+    value and a target above the interior of the flat ellipse, so the
+    distance is exactly its height.
     """
     rng = np.random.default_rng(seed)
     p, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     sig = np.sort(rng.uniform(0.2, 2.0, size=3))[::-1]
-    if kind == "rank2":
+    if kind in ("rank2", "flat"):
         sig[2] = 0.0
     if kind == "sphere":
         sig[:] = sig[0]
@@ -250,6 +299,10 @@ def test_nearest_surface_is_a_constrained_minimum(kind, seed, log_tied):
         s[tied] = 0.0
     if kind == "near_hard":
         s[tied] *= 10.0**log_tied / np.linalg.norm(s[tied])
+    if kind == "flat":
+        # exact axes, so the SVD sees the zero singular value exactly
+        p, q = np.eye(3), np.eye(3)
+        s[:2] *= rng.uniform(0.0, 0.99) / np.linalg.norm(s[:2] / sig[:2])
     m = p @ np.diag(sig) @ q.T
     a = rng.normal(size=3)
     r = p @ s
@@ -258,17 +311,13 @@ def test_nearest_surface_is_a_constrained_minimum(kind, seed, log_tied):
     omega, dist = nearest_surface(params, a + r)
     assert np.linalg.norm(omega) == pytest.approx(1.0, abs=1e-12)
     assert dist == pytest.approx(np.linalg.norm(m @ omega - r), abs=1e-12)
-    eps_t = 0.0
-    if kind == "near_hard":
-        # the multiplier sits only about sig_min |s_tied| below sig_min^2 but
-        # is resolved to one ulp of it, so the final normalization spreads a
-        # relative error of up to eps_t over the weights
-        eps_t = 2.0 * np.finfo(float).eps * sig[2] / np.linalg.norm(s[tied])
     grad = m.T @ (m @ omega - r)
     tangential = np.linalg.norm(grad - omega * (omega @ grad))
-    assert tangential <= (1e-12 + 4.0 * eps_t) * sig[0] * (sig[0] + np.linalg.norm(r))
+    assert tangential <= 1e-12 * sig[0] * (sig[0] + np.linalg.norm(r))
     sampled = np.linalg.norm(fibonacci_sphere(20000) @ m.T - r, axis=1).min()
-    assert dist**2 <= (sampled + 1e-9) ** 2 + (2.0 * sig[0] * eps_t) ** 2
+    assert dist <= sampled + 1e-9
+    if kind == "flat":
+        assert dist == pytest.approx(abs(s[2]), abs=1e-12)
 
 
 @given(

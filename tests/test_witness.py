@@ -6,10 +6,14 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrange import core as core_module
 from lrange import ellipsoid as ellipsoid_module
 from lrange import witness as witness_module
 from lrange import (
     DiagonalTuple,
+    HermitianMatrix,
+    HermitianTuple,
+    LinearMapSpec,
     PathSpec,
     PinchChain,
     Pinching,
@@ -18,6 +22,7 @@ from lrange import (
     WitnessError,
     apply_chain,
     chain_witness,
+    check_star_shaped,
     conjugate_tuple,
     degenerate_unitary,
     derive_seed,
@@ -25,8 +30,10 @@ from lrange import (
     haar_unitary,
     make_path,
     principal_log_unitary,
+    random_chain,
     random_diagonal_tuple,
     single_pinch_witness,
+    slice_params,
     star_center,
     star_point_witness,
     star_scaling_chain,
@@ -262,6 +269,44 @@ def test_crossing_search_solves_at_most_two_surfaces(seed, n, m, alpha, data):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("n, l", [(3, 3), (4, 3), (5, 2)])
+def test_pinch_path_builds_no_tuple_objects(monkeypatch, n, l):
+    """Chain and star witnesses run on arrays: no map or tuple objects are
+    built and no object-level evaluation is called.  The one Hermitian
+    matrix per crossing search is the degeneration certificate; with
+    l < 3 every slice is flat and no crossing search runs."""
+    d = random_diagonal_tuple(n, 2, seed=60 + n)
+    spec = rand_map(l, 2, n, seed=70 + n)
+    u = haar_unitary(n, seed=80 + n)
+    chain = random_chain(n, 3, seed=90 + n)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (core_module, ellipsoid_module, witness_module):
+        for name in ("eval_map", "conjugate_tuple", "star_center", "degenerate_unitary"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(
+        DiagonalTuple, "to_hermitian", counted("to_hermitian", DiagonalTuple.to_hermitian)
+    )
+    for cls in (HermitianMatrix, HermitianTuple, LinearMapSpec):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+
+    w = chain_witness(d, spec, chain, u, tol=1e-6)
+    sw = star_point_witness(d, spec, u, alpha=0.5, tol=1e-3)
+    assert w.residual <= len(chain) * 1e-6
+    assert sw.witness.residual <= 1e-3
+    assert (calls.get("degenerate_unitary", 0) >= 1) == (l == 3)
+    assert calls.pop("HermitianMatrix", 0) == calls.pop("degenerate_unitary", 0)
+    assert calls == {}
+
+
 def test_witness_validates_inputs():
     d3 = random_diagonal_tuple(3, 1, seed=19)
     with pytest.raises(ValueError):
@@ -276,6 +321,24 @@ def test_witness_validates_inputs():
         single_pinch_witness(d3, rand_map(3, 1, 3, seed=24), Pinching(1, 2, 0.5), tol=0.0)
 
 
+def test_four_output_maps_are_rejected_with_one_message():
+    d = random_diagonal_tuple(3, 1, seed=54)
+    spec = rand_map(4, 1, 3, seed=55)
+    u = haar_unitary(3, seed=56)
+    calls = [
+        lambda: slice_params(d, u, spec),
+        lambda: degenerate_unitary(d, spec),
+        lambda: single_pinch_witness(d, spec, Pinching(1, 2, 0.5)),
+        lambda: chain_witness(d, spec, PinchChain(3, ())),
+        lambda: star_scaling_chain(d, spec, 0.5, 1e-3),
+        lambda: star_point_witness(d, spec, u, 0.5),
+        lambda: check_star_shaped(spec, d, samples=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^slices and witnesses handle at most 3 output"):
+            call()
+
+
 # ------------------------------------------------------------------- chains
 
 
@@ -286,6 +349,12 @@ def test_empty_chain_returns_start_unitary():
     w = chain_witness(d, spec, PinchChain(3, ()), u=u, tol=1e-8)
     np.testing.assert_allclose(w.uprime.mat, u.mat, atol=1e-14)
     assert w.residual <= 1e-12
+
+
+def test_chain_rejects_a_unitary_of_the_wrong_size():
+    d = random_diagonal_tuple(3, 1, seed=57)
+    with pytest.raises(ValueError, match="unitary has n=4, tuple has n=3"):
+        chain_witness(d, rand_map(3, 1, 3, seed=58), PinchChain(3, ()), u=haar_unitary(4, seed=59))
 
 
 def test_two_step_chain_accumulates_at_most_two_tolerances():
