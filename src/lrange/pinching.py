@@ -5,9 +5,11 @@ is doubly stochastic, acts as ``alpha x + (1 - alpha) y`` on the pinched
 pair, and fixes everything else.  Chains of pinchings applied to the
 diagonal vectors of a tuple produce exactly the majorization-style
 degradations whose images stay inside the original range.  The synthesis
-routine approximates the scaling map ``S(alpha) = alpha I + (1 - alpha) J``
-(``J`` = all-entries-1/n) by such a chain, which is the engine behind
-star-shapedness certificates.
+routine writes the scaling map ``S(alpha) = alpha I + (1 - alpha) J``
+(``J`` = all-entries-1/n) as such a chain, which is the engine behind
+star-shapedness certificates.  For ``n <= 6`` the chain is exact and has
+``(n - 1)^2`` pinchings: the path ``(1,2), ..., (n-1,n)`` repeated
+``n - 1`` times, the dimension-count minimum.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class ScalingTarget:
 class SynthResult:
     """Synthesis output: the chain, its exact error, and the error trace.
 
-    ``error_trace`` records the best Frobenius distance to the target after
-    every accepted improvement; it is non-increasing by construction.
+    ``error_trace`` records the Frobenius distance to the target after each
+    candidate pattern that improved; it is non-increasing by construction.
     """
 
     chain: PinchChain
@@ -145,12 +147,7 @@ class SynthResult:
     error_trace: tuple[float, ...]
 
 
-_STALL_EPS = 1e-30
 _DONE_EPS = 5e-15
-
-
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(s, t) for s in range(n) for t in range(s + 1, n)]
 
 
 def _product_rows(n: int, pairs: list[tuple[int, int]], betas: np.ndarray) -> np.ndarray:
@@ -162,72 +159,14 @@ def _product_rows(n: int, pairs: list[tuple[int, int]], betas: np.ndarray) -> np
     return out
 
 
-def _greedy_phase(s_mat: np.ndarray, tol: float, budget: int):
-    """Steepest-improvement chain growth with the per-pair optimal weight.
-
-    For a fixed pair the squared error is quadratic in the weight, so the
-    inner minimization is closed-form; candidates are scanned in
-    lexicographic pair order and ties keep the earliest pair.
-    """
-    n = s_mat.shape[0]
-    pairs = _all_pairs(n)
-    m = np.eye(n)
-    err = float(np.linalg.norm(m - s_mat))
-    trace = [err]
-    applied: list[tuple[int, int]] = []
-    betas: list[float] = []
-    evals = 0
-    while err > tol and evals < budget:
-        best = None
-        for s, t in pairs:
-            evals += 1
-            u = m[s] - m[t]
-            uu = float(u @ u)
-            if uu < _STALL_EPS:
-                continue
-            beta = 0.5 + float(u @ (s_mat[s] - s_mat[t])) / (2.0 * uu)
-            beta = min(1.0, max(0.0, beta))
-            rs = beta * m[s] + (1.0 - beta) * m[t]
-            rt = beta * m[t] + (1.0 - beta) * m[s]
-            delta = (
-                -float(np.sum((m[s] - s_mat[s]) ** 2))
-                - float(np.sum((m[t] - s_mat[t]) ** 2))
-                + float(np.sum((rs - s_mat[s]) ** 2))
-                + float(np.sum((rt - s_mat[t]) ** 2))
-            )
-            new_sq = err * err + delta
-            if best is None or new_sq < best[0] - _STALL_EPS:
-                best = (new_sq, s, t, beta, rs, rt)
-        if best is None or best[0] >= err * err - _STALL_EPS:
-            break  # stalled: no pair improves
-        new_err = float(np.sqrt(max(best[0], 0.0)))
-        if err - new_err < 1e-4 * err:
-            break  # vanishing returns; hand over to re-optimization
-        _, s, t, beta, rs, rt = best
-        m = m.copy()
-        m[s], m[t] = rs, rt
-        applied.append((s, t))
-        betas.append(beta)
-        err = float(np.sqrt(max(best[0], 0.0)))
-        trace.append(err)
-    return applied, np.array(betas), err, trace, evals
-
-
-def _gauss_newton(
-    s_mat: np.ndarray,
-    pairs: list[tuple[int, int]],
-    betas: np.ndarray,
-    budget: int,
-    max_rounds: int = 200,
-):
+def _gauss_newton(s_mat: np.ndarray, pairs: list[tuple[int, int]], betas: np.ndarray):
     """Projected Gauss-Newton on the weights of a fixed pair pattern."""
     n = s_mat.shape[0]
     k = len(pairs)
     betas = betas.copy()
     err = float(np.linalg.norm(_product_rows(n, pairs, betas) - s_mat))
-    evals = 1
-    for _ in range(max_rounds):
-        if err <= _DONE_EPS or evals >= budget:
+    for _ in range(200):
+        if err <= _DONE_EPS:
             break
         # prefix[j] = product of steps before j, suffix[j] = product after j
         prefix = [np.eye(n)]
@@ -253,21 +192,21 @@ def _gauss_newton(
             dp[s, s] = dp[t, t] = 1.0
             dp[s, t] = dp[t, s] = -1.0
             jac[:, j] = (suffix[j + 1] @ dp @ prefix[j]).ravel()
-        evals += k
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        # cutting tiny singular values keeps near-null directions (near
+        # alpha = 1 the Jacobian has one at 1e-13) from swamping the step
+        step, *_ = np.linalg.lstsq(jac, -resid, rcond=1e-10)
         lam = 1.0
         improved = False
         for _ in range(40):
             cand = np.clip(betas + lam * step, 0.0, 1.0)
             cand_err = float(np.linalg.norm(_product_rows(n, pairs, cand) - s_mat))
-            evals += 1
             if cand_err < err - 1e-18:
                 betas, err, improved = cand, cand_err, True
                 break
             lam /= 2.0
         if not improved:
             break
-    return betas, err, evals
+    return betas, err
 
 
 def _chain_from_applied(
@@ -283,89 +222,49 @@ def _chain_from_applied(
     return PinchChain(n, tuple(steps))
 
 
-def synth_scaling(
-    target: ScalingTarget, tol: float = 1e-2, budget: int = 100_000
-) -> SynthResult:
+def synth_scaling(target: ScalingTarget, tol: float = 1e-2) -> SynthResult:
     """Synthesize a pinch chain whose product approximates ``S(alpha)``.
 
-    Phase one grows a chain greedily (each step applies the single most
-    error-reducing pinching; the per-pair weight subproblem is an exact
-    quadratic minimization).  If the greedy chain stalls above ``tol``,
-    phase two re-optimizes pinching weights by projected Gauss-Newton:
-    first on the greedy pattern itself, then by continuation in the
-    scaling weight over progressively deeper full-sweep patterns, warm
-    starting each solve at the previous one.  A final fallback splits the
-    target as ``S(alpha) = S(sqrt(alpha))^2`` and synthesizes the factors
-    recursively (depth capped at 4).
+    Candidate pair patterns are tried in turn.  Each one is solved by
+    projected Gauss-Newton on its weights while the scaling weight walks
+    from 1, where the starting weights are exact, down to ``alpha`` in four
+    warm-started solves.  The first candidate is the path
+    ``(1,2), ..., (n-1,n)`` repeated ``n - 1`` times, started from the
+    weights ``1, 0, ..., 0`` of each repeat (the repeats then compose an
+    ``(n-1)``-cycle with itself ``n - 1`` times, the identity); for
+    ``n <= 6`` it reaches ``S(alpha)`` exactly with ``(n - 1)^2`` pinchings.
+    Only if it misses ``tol`` do all-pairs sweeps repeated ``n - 2``,
+    ``n - 1`` and ``n`` times follow, started from all-ones weights.
 
-    Returns the best chain found together with its exactly re-evaluated
-    error and the non-increasing trace of accepted improvements.
+    Returns the first candidate within ``tol``, else the best one, together
+    with its exactly re-evaluated error and the error of each candidate
+    that improved on the ones before it.
     """
     _check_tol(tol)
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    return _synth_inner(target, tol, budget, depth=0)
-
-
-def _synth_inner(target: ScalingTarget, tol: float, budget: int, depth: int) -> SynthResult:
     n = target.n
     s_mat = target.matrix()
     base_err = float(np.linalg.norm(np.eye(n) - s_mat))
-    if n == 1 or base_err <= max(tol * 1e-6, _DONE_EPS):
+    if base_err <= max(tol * 1e-6, _DONE_EPS):
         return SynthResult(PinchChain(n, ()), base_err, (base_err,))
 
-    greedy_budget = min(budget, 600 * len(_all_pairs(n)))
-    applied, betas, err, trace, used = _greedy_phase(s_mat, tol, greedy_budget)
-    best_pairs, best_betas, best_err = applied, betas, err
-    remaining = budget - used
+    path = [(j, j + 1) for j in range(n - 1)]
+    cycle = np.zeros(n - 1)
+    cycle[0] = 1.0
+    sweep = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    candidates = [(path * (n - 1), np.tile(cycle, n - 1))] + [
+        (sweep * r, np.ones(len(sweep) * r)) for r in range(max(1, n - 2), n + 1)
+    ]
+    best_err = np.inf
+    trace = []
+    for pairs, betas in candidates:
+        for a in np.linspace(1.0, target.alpha, 5)[1:]:
+            betas, err = _gauss_newton(ScalingTarget(n, float(a)).matrix(), pairs, betas)
+        if err < best_err:
+            best_pairs, best_betas, best_err = pairs, betas, err
+            trace.append(err)
+        if err <= tol:
+            break
 
-    goal = max(tol * 1e-3, _DONE_EPS)
-    if best_err > max(tol, _DONE_EPS) and remaining > 0:
-        sweep = _all_pairs(n)
-        if applied:
-            # cheap polish: re-optimize the greedy weights plus one near-
-            # identity sweep appended for slack
-            pat = list(applied) + sweep
-            init = np.concatenate([np.asarray(betas), np.full(len(sweep), 0.97)])
-            cand_b, cand_e, used = _gauss_newton(s_mat, pat, init, remaining)
-            remaining -= used
-            if cand_e < best_err:
-                best_pairs, best_betas, best_err = pat, cand_b, cand_e
-                trace.append(best_err)
-        # deterministic continuation: walk the scaling weight from near 1
-        # (where the all-identity weights are exact) down to the target,
-        # re-solving on progressively deeper sweep patterns; the depth that
-        # suffices in practice grows roughly like n - 2
-        start_depth = max(1, n - 2)
-        for sweeps_count in (start_depth, start_depth + 1, start_depth + 2):
-            if best_err <= goal or remaining <= 0:
-                break
-            pat = sweep * sweeps_count
-            cur = np.ones(len(pat))
-            for a in np.linspace(0.95, target.alpha, 10):
-                step_mat = ScalingTarget(n, float(a)).matrix()
-                cur, _, used = _gauss_newton(step_mat, pat, cur, remaining)
-                remaining -= used
-                if remaining <= 0:
-                    break
-            cand_e = float(np.linalg.norm(_product_rows(n, pat, cur) - s_mat))
-            if cand_e < best_err:
-                best_pairs, best_betas, best_err = pat, cur, cand_e
-                trace.append(best_err)
-
-    if best_err > tol and 0.0 < target.alpha < 1.0 and depth < 4 and remaining > 0:
-        half = _synth_inner(
-            ScalingTarget(n, float(np.sqrt(target.alpha))), tol / 2, remaining // 2, depth + 1
-        )
-        split_steps = half.chain.steps + half.chain.steps
-        split_chain = PinchChain(n, split_steps)
-        split_err = float(np.linalg.norm(chain_matrix(split_chain) - s_mat))
-        if split_err < best_err:
-            chain = split_chain
-            final = float(np.linalg.norm(chain_matrix(chain) - s_mat))
-            trace.append(final)
-            return SynthResult(chain, final, tuple(trace))
-
-    chain = _chain_from_applied(n, best_pairs, np.asarray(best_betas))
+    chain = _chain_from_applied(n, best_pairs, best_betas)
     final = float(np.linalg.norm(chain_matrix(chain) - s_mat))
     return SynthResult(chain, final, tuple(trace))

@@ -311,12 +311,16 @@ def chain_witness(
     if u.n != n:
         raise ValueError(f"unitary has n={u.n}, tuple has n={n}")
     cs = _lift(spec, d)
-    y0 = _image(cs, apply_chain(chain, d).vectors, u.mat)
+    # partials[j] = steps j.. applied to d, built from the back one pinch at a time
+    partials = [d]
+    for pinch in reversed(chain.steps):
+        partials.append(apply_chain(PinchChain(n, (pinch,)), partials[-1]))
+    partials.reverse()
+    y0 = _image(cs, partials[0].vectors, u.mat)
     current = u
     theta = phi = t_star = 0.0
     for j, pinch in enumerate(chain.steps):
-        partial = apply_chain(PinchChain(n, chain.steps[j + 1 :]), d)
-        w = single_pinch_witness(partial, spec, pinch, current, tol)
+        w = single_pinch_witness(partials[j + 1], spec, pinch, current, tol)
         current, theta, phi, t_star = w.uprime, w.theta, w.phi, w.t
     residual = float(np.linalg.norm(_image(cs, d.vectors, current.mat) - y0))
     return Witness(current, theta, phi, t_star, residual)

@@ -168,10 +168,29 @@ def test_synth_error_trace_is_monotone():
     assert np.all(np.diff(trace) <= 1e-14)
 
 
-def test_synth_budget_exhaustion_is_reported_not_raised():
-    res = synth_scaling(ScalingTarget(5, 0.37), tol=1e-14, budget=50)
+def test_synth_unreachable_tol_is_reported_not_raised():
+    res = synth_scaling(ScalingTarget(3, 0.37), tol=1e-300)
     assert np.isfinite(res.achieved_error)
     assert res.achieved_error >= 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.3, 0.5, 0.9, 1 - 1e-9])
+def test_synth_path_chain_is_exact(n, alpha):
+    """The path pattern repeated n - 1 times gives S(alpha) exactly."""
+    res = synth_scaling(ScalingTarget(n, alpha), tol=1e-12)
+    assert len(res.chain) == (n - 1) ** 2
+    assert res.achieved_error <= 1e-13
+    gap = np.linalg.norm(chain_matrix(res.chain) - ScalingTarget(n, alpha).matrix())
+    assert res.achieved_error == pytest.approx(gap, abs=1e-14)
+
+
+def test_synth_sweep_fallback_reaches_tol_beyond_the_path():
+    res = synth_scaling(ScalingTarget(7, 0.5), tol=1e-10)
+    assert len(res.chain) > 6**2  # not the path chain
+    assert res.achieved_error <= 1e-10
+    gap = np.linalg.norm(chain_matrix(res.chain) - ScalingTarget(7, 0.5).matrix())
+    assert res.achieved_error == pytest.approx(gap, abs=1e-14)
 
 
 def test_synth_chains_compose_like_the_scaling_semigroup():
@@ -189,7 +208,5 @@ def test_synth_chains_compose_like_the_scaling_semigroup():
 def test_synth_validates_arguments():
     with pytest.raises(ValueError):
         synth_scaling(ScalingTarget(3, 0.5), tol=0.0)
-    with pytest.raises(ValueError):
-        synth_scaling(ScalingTarget(3, 0.5), tol=1e-6, budget=0)
     with pytest.raises(ValueError):
         ScalingTarget(3, 1.2)

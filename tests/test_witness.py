@@ -307,6 +307,24 @@ def test_pinch_path_builds_no_tuple_objects(monkeypatch, n, l):
     assert calls == {}
 
 
+def test_chain_witness_applies_each_pinch_a_bounded_number_of_times(monkeypatch):
+    """Partial tuples are built once from the back, so a chain of k
+    pinchings costs at most 2k pinch applications, not O(k^2)."""
+    d = random_diagonal_tuple(4, 2, seed=95)
+    spec = rand_map(2, 2, 4, seed=96)
+    chain = random_chain(4, 10, seed=97)
+    applied = []
+
+    def counted(c, tup):
+        applied.append(len(c))
+        return apply_chain(c, tup)
+
+    monkeypatch.setattr(witness_module, "apply_chain", counted)
+    w = chain_witness(d, spec, chain, tol=1e-6)
+    assert w.residual <= len(chain) * 1e-6
+    assert sum(applied) <= 2 * len(chain)
+
+
 def test_witness_validates_inputs():
     d3 = random_diagonal_tuple(3, 1, seed=19)
     with pytest.raises(ValueError):
