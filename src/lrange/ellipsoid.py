@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ALGEBRAIC_TOL,
@@ -361,7 +360,7 @@ def degenerate_unitary(d: DiagonalTuple, spec: LinearMapSpec) -> DegenerateCerti
         sin_sq = min(1.0, max(0.0, (lam2 - lam1) / span))
     u_row = x2
     v_row = np.sqrt(1.0 - sin_sq) * x1 + np.sqrt(sin_sq) * x3
-    null_basis = scipy.linalg.null_space(np.stack([u_row, v_row]).conj())
+    null_basis = np.linalg.qr(np.stack([u_row, v_row]).T, mode="complete")[0][:, 2:]
     v_mat = np.vstack([u_row.conj()[None], v_row.conj()[None], null_basis.conj().T])
     v = UnitaryMatrix(v_mat)
     block = v_mat @ pprime.mat @ v_mat.conj().T

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ALGEBRAIC_TOL,
@@ -47,7 +46,6 @@ __all__ = [
     "PathSpec",
     "StarWitness",
     "WitnessError",
-    "principal_log_unitary",
     "make_path",
     "single_pinch_witness",
     "chain_witness",
@@ -84,20 +82,17 @@ class Witness:
 class PathSpec:
     """The geodesic ``f(t) = U exp(t K)`` with ``K = log(U* V)`` principal.
 
-    The generator's eigendecomposition is cached so path points cost two
-    matrix products each.
+    ``K = basis diag(i phases) basis*`` with ``basis`` orthonormal and the
+    phases of ``U* V`` in (-pi, pi] (a phase within 1e-12 of -pi takes
+    +pi), so path points cost two matrix products each.
     """
 
     start: UnitaryMatrix
     end: UnitaryMatrix
-    generator: np.ndarray
+    phases: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self):
-        h = (self.generator - self.generator.conj().T) / 2j
-        h = (h + h.conj().T) / 2
-        phases, basis = np.linalg.eigh(h)
-        object.__setattr__(self, "_phases", phases)
-        object.__setattr__(self, "_basis", basis)
         endpoint = self.at_raw(np.array([1.0]))[0]
         drift = float(np.linalg.norm(endpoint - self.end.mat))
         if drift > ALGEBRAIC_TOL:
@@ -107,38 +102,40 @@ class PathSpec:
 
     def at_raw(self, ts: np.ndarray) -> np.ndarray:
         """Path points at parameters ``ts`` as one (T, n, n) array."""
-        basis = self._basis
-        rot = np.exp(1j * np.outer(ts, self._phases))
+        rot = np.exp(1j * np.outer(ts, self.phases))
         return np.einsum(
-            "ab,tb,cb->tac", self.start.mat @ basis, rot, basis.conj()
+            "ab,tb,cb->tac", self.start.mat @ self.basis, rot, self.basis.conj()
         )
 
     def at(self, t: float) -> UnitaryMatrix:
         return UnitaryMatrix(self.at_raw(np.array([float(t)]))[0])
 
 
-def principal_log_unitary(w: UnitaryMatrix) -> np.ndarray:
-    """Skew-Hermitian principal logarithm of a unitary.
+def _principal_eig(w: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases in (-pi, pi] and an orthonormal eigenbasis of a unitary.
 
-    Eigenphases are taken in (-pi, pi]; a phase landing exactly on -pi is
-    deterministically moved to +pi.  Works for clustered and degenerate
-    spectra via the complex Schur form.
+    The Cayley transform about the middle of the widest gap in the
+    spectrum, rotated onto -1, is Hermitian and well conditioned, so
+    ``eigh`` gives orthonormal eigenvectors even for clustered or repeated
+    phases.  A phase within 1e-12 of -pi is moved to +pi.
     """
-    t, z = scipy.linalg.schur(w.mat, output="complex")
-    lam = np.diagonal(t)
-    mags = np.abs(lam)
-    lam = lam / np.where(mags > 0, mags, 1.0)
-    psi = np.angle(lam)
-    psi = np.where(psi <= -np.pi, psi + 2.0 * np.pi, psi)
-    k = (z * (1j * psi)) @ z.conj().T
-    return (k - k.conj().T) / 2
+    angles = np.sort(np.angle(np.linalg.eigvals(w.mat)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    j = int(np.argmax(gaps))
+    shift = np.pi - (angles[j] + gaps[j] / 2)
+    rotated = np.exp(1j * shift) * w.mat
+    eye = np.eye(w.n)
+    h = 1j * np.linalg.solve(eye + rotated, eye - rotated)
+    kappa, basis = np.linalg.eigh((h + h.conj().T) / 2)
+    psi = np.mod(2.0 * np.arctan(kappa) - shift + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(psi <= -np.pi + 1e-12, psi + 2.0 * np.pi, psi), basis
 
 
 def make_path(u: UnitaryMatrix, v: UnitaryMatrix) -> PathSpec:
     if u.n != v.n:
         raise ValueError(f"path endpoints disagree: n={u.n} vs n={v.n}")
     w = UnitaryMatrix(u.mat.conj().T @ v.mat)
-    return PathSpec(u, v, principal_log_unitary(w))
+    return PathSpec(u, v, *_principal_eig(w))
 
 
 def _reduction_permutation(s: int, t: int, n: int) -> np.ndarray:

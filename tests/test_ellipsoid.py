@@ -379,10 +379,13 @@ class TestDegeneration:
         assert cert.alpha == 0.0
         np.testing.assert_array_equal(cert.v.mat, np.eye(3))
 
-    def test_slice_at_certificate_is_flat(self):
-        d = random_diagonal_tuple(4, 2, seed=21)
-        spec = rand_map(3, 2, 4, seed=22)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_slice_at_certificate_is_flat(self, n):
+        # at n = 3 the complement of the two leading rows is one column
+        d = random_diagonal_tuple(n, 2, seed=21)
+        spec = rand_map(3, 2, n, seed=22)
         cert = degenerate_unitary(d, spec)
+        assert np.linalg.norm(cert.v.mat @ cert.v.mat.conj().T - np.eye(n)) <= 1e-12
         params = slice_params(d, cert.v, spec)
         assert abs(params.b[0]) <= 1e-9
         assert abs(params.c[0]) <= 1e-9

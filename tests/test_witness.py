@@ -10,6 +10,7 @@ from lrange import core as core_module
 from lrange import ellipsoid as ellipsoid_module
 from lrange import witness as witness_module
 from lrange import (
+    ALGEBRAIC_TOL,
     DiagonalTuple,
     HermitianMatrix,
     HermitianTuple,
@@ -29,7 +30,6 @@ from lrange import (
     eval_map,
     haar_unitary,
     make_path,
-    principal_log_unitary,
     random_chain,
     random_diagonal_tuple,
     single_pinch_witness,
@@ -87,9 +87,14 @@ def test_path_matches_scipy_geodesic():
         assert np.linalg.norm(make_path(u, v).at(t).mat - expected) <= 1e-8
 
 
+def _principal_log(w):
+    phases, basis = witness_module._principal_eig(w)
+    return (basis * (1j * phases)) @ basis.conj().T
+
+
 def test_principal_log_is_skew_and_exact():
     w = UnitaryMatrix(haar_unitary(4, seed=6).mat)
-    k = principal_log_unitary(w)
+    k = _principal_log(w)
     assert np.linalg.norm(k + k.conj().T) <= 1e-12
     assert np.linalg.norm(scipy.linalg.expm(k) - w.mat) <= 1e-10
     phases = np.linalg.eigvalsh(k / 1j)
@@ -99,9 +104,52 @@ def test_principal_log_is_skew_and_exact():
 
 def test_principal_log_breaks_half_turn_tie_upward():
     # the -1 eigenvalue must take phase +pi, never -pi
-    k = principal_log_unitary(UnitaryMatrix(np.diag([-1.0 + 0j, 1.0])))
+    k = _principal_log(UnitaryMatrix(np.diag([-1.0 + 0j, 1.0])))
     assert k[0, 0].imag == pytest.approx(np.pi, abs=1e-12)
     assert abs(k[0, 0].real) <= 1e-12
+
+
+def _spectrum(kind, n, rng):
+    """Eigenphases of one family that stresses the principal logarithm."""
+    if kind == "random":
+        return rng.uniform(-np.pi, np.pi, n)
+    if kind == "clustered":
+        return rng.uniform(-np.pi, np.pi) + 1e-12 * rng.standard_normal(n)
+    if kind == "repeated":
+        return rng.choice(rng.uniform(-np.pi, np.pi, 2), n)
+    if kind == "minus_one":
+        return rng.choice([np.pi, 0.0, 1.0], n)
+    # within 1e-15 of the branch cut, from both sides
+    ph = rng.uniform(-np.pi, np.pi, n)
+    ph[0] = -np.pi + 1e-15 * rng.uniform()
+    ph[-1] = np.pi - 1e-15 * rng.uniform()
+    return ph
+
+
+@given(
+    seeds,
+    st.integers(2, 8),
+    st.sampled_from(["random", "clustered", "repeated", "minus_one", "branch_cut"]),
+)
+def test_principal_eig_matches_schur_logarithm(seed, n, kind):
+    """Differential: the Cayley eigendecomposition against the Schur log."""
+    rng = np.random.default_rng(seed)
+    q = haar_unitary(n, derive_seed(seed, 0)).mat
+    w = UnitaryMatrix((q * np.exp(1j * _spectrum(kind, n, rng))) @ q.conj().T)
+    phases, basis = witness_module._principal_eig(w)
+    k = (basis * (1j * phases)) @ basis.conj().T
+    assert np.linalg.norm(scipy.linalg.expm(k) - w.mat) <= 1e-13
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(n)) <= 1e-13
+    assert np.all(phases > -np.pi) and np.all(phases <= np.pi + 1e-12)
+
+    t, z = scipy.linalg.schur(w.mat, output="complex")
+    oracle_phases = np.angle(np.diagonal(t))
+    if np.all(np.pi - np.abs(oracle_phases) > 1e-6):
+        oracle = (z * (1j * oracle_phases)) @ z.conj().T
+        assert np.linalg.norm(k - oracle) <= 1e-10
+
+    identity = UnitaryMatrix.identity(n)
+    assert np.linalg.norm(make_path(identity, w).at(1.0).mat - w.mat) <= ALGEBRAIC_TOL
 
 
 # ----------------------------------------------------------- single pinches
