@@ -7,150 +7,18 @@ constructs certified witnesses for inclusion and star-shapedness
 statements — plus the four-coordinate instance where inclusion fails.
 """
 
-from .core import (
-    ALGEBRAIC_TOL,
-    CONSTRUCTION_TOL,
-    MAX_MAP_OUTPUTS,
-    OPTIMIZATION_TOL,
-    UNITARITY_TOL,
-    DiagonalTuple,
-    HermitianMatrix,
-    HermitianTuple,
-    LinearMapSpec,
-    NumericalError,
-    UnitaryMatrix,
-    conjugate_tuple,
-    derive_seed,
-    eval_map,
-    expm_skew,
-    haar_unitary,
-    hermitian_eig,
-    make_c_map,
-    random_diagonal_tuple,
-    random_hermitian,
-    random_hermitian_tuple,
-    star_center,
-)
-from .ellipsoid import (
-    INSIDE,
-    ON_SURFACE,
-    OUTSIDE,
-    DegenerateCertificate,
-    EllipsoidParams,
-    MembershipVerdict,
-    angles_of_omega,
-    degenerate_unitary,
-    nearest_surface,
-    omega_of_angles,
-    slice_membership,
-    slice_params,
-    slice_point,
-    t_theta_phi,
-)
-from .optimize import DescentOptions, MembershipResult, gradient, orbit_distance, support_value
-from .pinching import (
-    PinchChain,
-    Pinching,
-    ScalingTarget,
-    SynthResult,
-    apply_chain,
-    chain_matrix,
-    pinch_matrix,
-    random_chain,
-    synth_scaling,
-)
-from .verify import (
-    CertReport,
-    PointCloud,
-    check_convex,
-    check_ct_inclusion,
-    check_star_shaped,
-    counterexample_instance,
-    counterexample_report,
-    sample_orbit_cloud,
-    scale_offdiag,
-)
-from .witness import (
-    PathSpec,
-    StarWitness,
-    Witness,
-    WitnessError,
-    chain_witness,
-    make_path,
-    single_pinch_witness,
-    star_point_witness,
-    star_scaling_chain,
-)
+from . import core, ellipsoid, optimize, pinching, verify, witness
+from .core import *  # noqa: F401,F403
+from .ellipsoid import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .pinching import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .witness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGEBRAIC_TOL",
-    "CONSTRUCTION_TOL",
-    "MAX_MAP_OUTPUTS",
-    "OPTIMIZATION_TOL",
-    "UNITARITY_TOL",
-    "CertReport",
-    "DegenerateCertificate",
-    "DescentOptions",
-    "DiagonalTuple",
-    "EllipsoidParams",
-    "INSIDE",
-    "ON_SURFACE",
-    "OUTSIDE",
-    "HermitianMatrix",
-    "HermitianTuple",
-    "LinearMapSpec",
-    "MembershipResult",
-    "MembershipVerdict",
-    "NumericalError",
-    "PathSpec",
-    "PinchChain",
-    "Pinching",
-    "PointCloud",
-    "ScalingTarget",
-    "StarWitness",
-    "SynthResult",
-    "UnitaryMatrix",
-    "Witness",
-    "WitnessError",
-    "angles_of_omega",
-    "apply_chain",
-    "chain_matrix",
-    "chain_witness",
-    "check_convex",
-    "check_ct_inclusion",
-    "check_star_shaped",
-    "conjugate_tuple",
-    "counterexample_instance",
-    "counterexample_report",
-    "degenerate_unitary",
-    "derive_seed",
-    "eval_map",
-    "expm_skew",
-    "gradient",
-    "haar_unitary",
-    "hermitian_eig",
-    "make_c_map",
-    "make_path",
-    "nearest_surface",
-    "omega_of_angles",
-    "orbit_distance",
-    "pinch_matrix",
-    "random_chain",
-    "random_diagonal_tuple",
-    "random_hermitian",
-    "random_hermitian_tuple",
-    "sample_orbit_cloud",
-    "scale_offdiag",
-    "single_pinch_witness",
-    "slice_membership",
-    "slice_params",
-    "slice_point",
-    "star_center",
-    "star_point_witness",
-    "star_scaling_chain",
-    "support_value",
-    "synth_scaling",
-    "t_theta_phi",
+    name
+    for module in (core, ellipsoid, optimize, pinching, verify, witness)
+    for name in module.__all__
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "CONSTRUCTION_TOL",
     "UNITARITY_TOL",
     "ALGEBRAIC_TOL",
-    "OPTIMIZATION_TOL",
     "MAX_MAP_OUTPUTS",
     "NumericalError",
     "HermitianMatrix",
@@ -38,12 +37,10 @@ __all__ = [
 ]
 
 # Accuracy budget, shared by every module: construction-time checks are
-# relative 1e-12, algebraic identities must hold to 1e-10, and anything
-# produced by iterative optimization is only trusted to 1e-6.
+# relative 1e-12 and algebraic identities must hold to 1e-10.
 CONSTRUCTION_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 ALGEBRAIC_TOL = 1e-10
-OPTIMIZATION_TOL = 1e-6
 
 # Maps with more than four output coordinates are rejected everywhere:
 # the structural results need l <= 3, and l = 4 is admitted only so the
@@ -320,7 +317,12 @@ def eval_map(spec: LinearMapSpec, x: HermitianTuple) -> np.ndarray:
     (it does for Hermitian inputs); it is then discarded.
     """
     _check_fits(spec, x)
-    traces = np.einsum("kiab,iba->k", spec.stack(), x.stack())
+    return _pairing(spec.stack(), x.stack())
+
+
+def _pairing(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``eval_map`` on raw stacks: coefficients (l, m, n, n), tuple (m, n, n)."""
+    traces = np.einsum("kiab,iba->k", cs, xs)
     drift = float(np.abs(traces.imag).max())
     if drift > ALGEBRAIC_TOL:
         raise NumericalError(

@@ -23,7 +23,7 @@ from .core import (
     NumericalError,
     _check_fits,
     _check_tol,
-    conjugate_tuple,
+    _pairing,
     derive_seed,
     eval_map,
     haar_unitary,
@@ -102,10 +102,11 @@ def sample_orbit_cloud(
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_fits(spec, a)
+    cs, stack = spec.stack(), a.stack()
     points = np.empty((n_samples, spec.l))
     for j in range(n_samples):
-        u = haar_unitary(a.n, derive_seed(seed, j))
-        points[j] = eval_map(spec, conjugate_tuple(a, u))
+        u = haar_unitary(a.n, derive_seed(seed, j)).mat
+        points[j] = _pairing(cs, u.conj().T @ stack @ u)
     return PointCloud(points, seed, n_samples)
 
 

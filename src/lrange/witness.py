@@ -53,8 +53,7 @@ __all__ = [
     "star_point_witness",
 ]
 
-_GRID_POINTS = 200
-_MAX_BISECT = 60
+_MAX_STEPS = 60
 _SCAN_BAND = 1e-9
 
 
@@ -154,12 +153,13 @@ def _pinch12_witness(
 ) -> tuple[np.ndarray, float, float, float]:
     """Crossing search for a pinching already sitting at slots (1, 2).
 
-    ``cs`` holds the map's coefficients lifted to three rows.  Each path
-    parameter's slice geometry is computed once: a midpoint that is not
-    interior becomes the upper bracket with its least-norm preimage, whose
-    radial projection ``omega / rho`` is the candidate witness; its
-    distance vanishes at the crossing, where ``rho = 1``.  Returns the
-    witness unitary as a raw array.
+    ``cs`` holds the map's coefficients lifted to three rows.  False
+    position (Illinois form) finds the root of ``g(t) = rho(t) - 1`` on
+    the bracket [0, 1], where ``rho`` is the norm of the target's
+    least-norm preimage under the slice at ``t``, and ``g = +inf`` on a
+    slice of rank < 3, such as the flattened one at ``t = 1``.  Each
+    probed point's radial projection ``omega / rho`` is a candidate
+    witness, exact at the root.  Returns the witness unitary as an array.
     """
     n = d.n
     member_band = max(1e-9, min(1e-6, tol))
@@ -182,46 +182,45 @@ def _pinch12_witness(
             return t_theta_phi(theta, phi, n).mat @ u.mat, theta, phi, 0.0
 
     # inside the slice's hull: slide toward the flattened slice
-    cert = degenerate_unitary(d, spec)
-    path = make_path(u, cert.v)
-    ts = np.linspace(0.0, 1.0, _GRID_POINTS)
-    grid = _slice_geometry(d.vectors, path.at_raw(ts[1:]), cs)
-    a, b, c, m = (np.concatenate(pair) for pair in zip(start, grid))
-    omega, rho, resid, _, _, inside = _preimage(m, y - a, _SCAN_BAND)
-    exits = np.nonzero(~inside)[0]
+    path = make_path(u, degenerate_unitary(d, spec).v)
 
-    first = int(exits[0]) if exits.size else _GRID_POINTS - 1
-    if first == 0:
-        raise WitnessError(
-            "slice membership flipped between verdict and scan at t=0; "
-            f"rho={rho[0]:.6f}, residual={resid[0]:.3e}"
-        )
-    lo, hi = float(ts[first - 1]), float(ts[first])
-    hi_at = (omega[first], rho[first], m[first], y - a[first])
+    def probe(t):
+        us = path.at_raw(np.array([t]))
+        a, b, c, m = (x[0] for x in _slice_geometry(d.vectors, us, cs))
+        omega, rho, resid, rank, _, _ = _preimage(m, y - a, _SCAN_BAND)
+        unit = omega / rho if rho > 0 else np.array([1.0, 0.0, 0.0])
+        candidate = (float(np.linalg.norm(m @ unit - (y - a))), t, unit)
+        # g < 0 exactly where t is interior: feasible, full rank, rho < 1
+        g = float(rho) - 1.0 if rank == 3 and resid <= _SCAN_BAND else np.inf
+        return (a, b, c), candidate, g
 
-    best = None  # (dist, t, omega)
-    for _ in range(_MAX_BISECT):
-        omega_h, rho_h, m_h, r_h = hi_at
-        unit = omega_h / rho_h if rho_h > 0 else np.array([1.0, 0.0, 0.0])
-        dist = float(np.linalg.norm(m_h @ unit - r_h))
-        if best is None or dist < best[0]:
-            best = (dist, hi, unit)
-        if dist <= goal:
+    end, best, g_hi = probe(1.0)  # best: (dist, t, omega)
+    lo, hi, g_lo = 0.0, 1.0, float(np.linalg.norm(verdict.omega)) - 1.0
+    kept = None  # the bracket end the last step left in place
+    for _ in range(_MAX_STEPS):
+        if best[0] <= goal:
             break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        t = 0.5 * (lo + hi)
+        if g_lo < g_hi < np.inf:
+            secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            if lo < secant < hi:
+                t = secant
+        if t <= lo or t >= hi:
             break
-        a_m, _, _, m_m = (
-            x[0] for x in _slice_geometry(d.vectors, path.at_raw(np.array([mid])), cs)
-        )
-        omega_m, rho_m, _, _, _, inside_m = _preimage(m_m, y - a_m, _SCAN_BAND)
-        if inside_m:
-            lo = mid
+        _, candidate, g = probe(t)
+        if candidate[0] < best[0]:
+            best = candidate
+        if g < 0.0:
+            if kept == "hi":
+                g_hi *= 0.5
+            lo, g_lo, kept = t, g, "hi"
         else:
-            hi, hi_at = mid, (omega_m, rho_m, m_m, y - a_m)
+            if kept == "lo":
+                g_lo *= 0.5
+            hi, g_hi, kept = t, g, "lo"
 
     # degenerate endpoint fallback: the flattened slice fills its hull
-    omega, dist = nearest_surface(EllipsoidParams(a[-1], b[-1], c[-1]), y)
+    omega, dist = nearest_surface(EllipsoidParams(*end), y)
     if dist < best[0]:
         best = (dist, 1.0, omega)
 
@@ -249,8 +248,8 @@ def single_pinch_witness(
     exact convex combination of the slice points at ``theta = 0`` and
     ``theta = pi/2``, so it lies in the hull of the slice at ``U``; the
     geodesic toward the degenerating unitary then must carry the slice
-    surface through the target, and the crossing is located by a 200-point
-    scan followed by bisection (at most 60 steps).
+    surface through the target, and the crossing is located by false
+    position on the path parameter's bracket [0, 1] (at most 60 steps).
     """
     _check_tol(tol)
     n = d.n

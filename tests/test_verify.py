@@ -63,6 +63,16 @@ def test_cloud_is_reproducible():
     assert c1.l == 2
 
 
+@pytest.mark.parametrize("n, m, l", [(3, 2, 2), (5, 1, 4), (8, 3, 3)])
+def test_cloud_points_are_the_map_at_each_seeded_unitary(n, m, l):
+    a = random_hermitian_tuple(n, m, seed=40 + n)
+    spec = rand_map(l, m, n, seed=50 + n)
+    cloud = sample_orbit_cloud(spec, a, 12, seed=60 + n)
+    for j, point in enumerate(cloud.points):
+        u = haar_unitary(n, derive_seed(60 + n, j))
+        np.testing.assert_allclose(point, eval_map(spec, conjugate_tuple(a, u)), rtol=0, atol=1e-12)
+
+
 def test_cloud_of_rank_one_projector_fills_the_unit_interval():
     spec = make_c_map(HermitianMatrix(np.diag([1.0, 0.0])), m=1)
     a = HermitianTuple((HermitianMatrix(np.diag([1.0, 0.0])),))

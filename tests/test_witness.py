@@ -11,7 +11,10 @@ from lrange import ellipsoid as ellipsoid_module
 from lrange import witness as witness_module
 from lrange import (
     ALGEBRAIC_TOL,
+    ON_SURFACE,
+    OUTSIDE,
     DiagonalTuple,
+    EllipsoidParams,
     HermitianMatrix,
     HermitianTuple,
     LinearMapSpec,
@@ -21,6 +24,7 @@ from lrange import (
     ScalingTarget,
     UnitaryMatrix,
     WitnessError,
+    angles_of_omega,
     apply_chain,
     chain_witness,
     check_star_shaped,
@@ -30,9 +34,11 @@ from lrange import (
     eval_map,
     haar_unitary,
     make_path,
+    nearest_surface,
     random_chain,
     random_diagonal_tuple,
     single_pinch_witness,
+    slice_membership,
     slice_params,
     star_center,
     star_point_witness,
@@ -42,6 +48,9 @@ from lrange import (
 )
 
 from conftest import rand_map
+
+# a nan secant step in the crossing search must fail loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -276,8 +285,123 @@ def test_crossing_search_computes_each_slice_once(monkeypatch):
     spec = rand_map(3, 2, 3, seed=14)
     w = single_pinch_witness(d, spec, Pinching(1, 2, 0.62), u=haar_unitary(3, seed=15))
     assert w.t > 0.0
-    assert len(seen) > 200
+    assert len(seen) <= 2 + witness_module._MAX_STEPS
     assert len(set(seen)) == len(seen)
+
+
+def test_crossing_search_needs_few_slice_evaluations(monkeypatch):
+    """False position on [0, 1] needs a median of at most 16 slice
+    evaluations per searched pinch; a 200-point scan followed by
+    bisection needs about 27."""
+    calls = []
+    real_geometry = witness_module._slice_geometry
+
+    def geometry(d, us, cs):
+        calls.append(1)
+        return real_geometry(d, us, cs)
+
+    monkeypatch.setattr(witness_module, "_slice_geometry", geometry)
+    counts = []
+    for seed in range(40):
+        n = 3 + seed % 3
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, n))
+        pinch = Pinching(s, int(rng.integers(s + 1, n + 1)), float(rng.uniform()))
+        d = random_diagonal_tuple(n, 3, derive_seed(seed, 0))
+        spec = rand_map(3, 3, n, derive_seed(seed, 1))
+        u = haar_unitary(n, derive_seed(seed, 2))
+        calls.clear()
+        w = single_pinch_witness(d, spec, pinch, u=u, tol=1e-6)
+        if w.t > 0.0:
+            counts.append(len(calls))
+    assert len(counts) >= 20
+    assert np.median(counts) <= 16
+
+
+def _scan_and_bisect(d, spec, cs, u, y, tol):
+    """Reference crossing search: a 200-point scan of the path, then
+    bisection of its first exit, with the same start verdict, candidates,
+    goal and endpoint fallback as ``witness._pinch12_witness``."""
+    n = d.n
+    goal = max(1e-12, 1e-3 * tol)
+    band = witness_module._SCAN_BAND
+    geometry, preimage = ellipsoid_module._slice_geometry, ellipsoid_module._preimage
+    start = geometry(d.vectors, u.mat[None], cs)
+    params = EllipsoidParams(start[0][0], start[1][0], start[2][0])
+    verdict = slice_membership(params, y, max(1e-9, min(1e-6, tol)))
+    if verdict.kind == OUTSIDE:
+        raise WitnessError("target lies outside the hull of the initial slice")
+    if verdict.kind == ON_SURFACE:
+        omega, dist = nearest_surface(params, y)
+        if dist <= tol:
+            theta, phi = angles_of_omega(omega)
+            return t_theta_phi(theta, phi, n).mat @ u.mat, theta, phi, 0.0
+
+    path = make_path(u, degenerate_unitary(d, spec).v)
+    ts = np.linspace(0.0, 1.0, 200)
+    grid = geometry(d.vectors, path.at_raw(ts[1:]), cs)
+    a, b, c, m = (np.concatenate(pair) for pair in zip(start, grid))
+    omega, rho, _, _, _, inside = preimage(m, y - a, band)
+    exits = np.nonzero(~inside)[0]
+    first = int(exits[0]) if exits.size else 199
+    if first == 0:
+        raise WitnessError("slice membership flipped between verdict and scan at t=0")
+    lo, hi = float(ts[first - 1]), float(ts[first])
+    hi_at = (omega[first], rho[first], m[first], y - a[first])
+    best = None
+    for _ in range(60):
+        omega_h, rho_h, m_h, r_h = hi_at
+        unit = omega_h / rho_h if rho_h > 0 else np.array([1.0, 0.0, 0.0])
+        dist = float(np.linalg.norm(m_h @ unit - r_h))
+        if best is None or dist < best[0]:
+            best = (dist, hi, unit)
+        mid = 0.5 * (lo + hi)
+        if dist <= goal or not lo < mid < hi:
+            break
+        a_m, _, _, m_m = (x[0] for x in geometry(d.vectors, path.at_raw(np.array([mid])), cs))
+        omega_m, rho_m, _, _, _, inside_m = preimage(m_m, y - a_m, band)
+        if inside_m:
+            lo = mid
+        else:
+            hi, hi_at = mid, (omega_m, rho_m, m_m, y - a_m)
+
+    omega, dist = nearest_surface(EllipsoidParams(a[-1], b[-1], c[-1]), y)
+    if dist < best[0]:
+        best = (dist, 1.0, omega)
+    dist, t_star, omega = best
+    if dist > tol:
+        raise WitnessError(f"reference search stalled at distance {dist:.3e}")
+    theta, phi = angles_of_omega(omega)
+    uprime = t_theta_phi(theta, phi, n).mat @ path.at_raw(np.array([t_star]))[0]
+    return uprime, theta, phi, t_star
+
+
+@given(
+    seeds,
+    st.integers(3, 6),
+    st.integers(1, 3),
+    st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.0)),
+    st.data(),
+)
+def test_false_position_agrees_with_scan_and_bisection(seed, n, m, alpha, data):
+    """Both searches give the same verdict, and each witness meets tol."""
+    s = data.draw(st.integers(1, n - 1))
+    pinch = Pinching(s, data.draw(st.integers(s + 1, n)), alpha)
+    d = random_diagonal_tuple(n, m, derive_seed(seed, 0))
+    spec = rand_map(3, m, n, derive_seed(seed, 1))
+    u = haar_unitary(n, derive_seed(seed, 2))
+    results = []
+    for search in (witness_module._pinch12_witness, _scan_and_bisect):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness_module, "_pinch12_witness", search)
+            try:
+                results.append(single_pinch_witness(d, spec, pinch, u=u, tol=1e-6))
+            except WitnessError:
+                results.append(None)
+    fast, reference = results
+    assert (fast is None) == (reference is None)
+    for w in results:
+        assert w is None or w.residual <= 1e-6
 
 
 @given(
@@ -291,7 +415,7 @@ def test_crossing_search_solves_at_most_two_surfaces(seed, n, m, alpha, data):
     """Nearest-surface solves happen only at the two ends of the path.
 
     One checks the ``ON_SURFACE`` shortcut at ``t = 0``, the other the
-    flattened slice at ``t = 1``; the bisection itself reads its
+    flattened slice at ``t = 1``; the root-find itself reads its
     candidates off the least-norm preimage.
     """
     s = data.draw(st.integers(1, n - 1))
